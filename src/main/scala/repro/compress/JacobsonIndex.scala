@@ -50,8 +50,9 @@ final class JacobsonIndex private (
     v & ((1L << m) - 1)
   }
 
-  /** Overhead bytes: bit string + prefix sums + block bases. The static map
-    * is shared process-wide, so it is reported separately (`mapBytes`).
+  /** Overhead bytes: bit string + prefix sums + block bases. The static
+    * popcount map is excluded: one map per `c` is shared by every index in
+    * the process, so charging it to each column would count it many times.
     */
   def bytes: Long = {
     val bitStringBytes = (n.toLong + 7) / 8
@@ -59,8 +60,6 @@ final class JacobsonIndex private (
     val baseBytes = blockBases.length.toLong * 8
     bitStringBytes + prefixBytes + baseBytes
   }
-
-  def mapBytes: Long = map.bytes
 }
 
 object JacobsonIndex {

@@ -36,7 +36,6 @@ final case class StorageConfig(
     m: Int = 16,
     nullThreshold: Double = 0.05
 ) extends Serializable {
-  require(!columnar || newIds || !zeroSuppress || true, "no-op")
   def name: String =
     if (!columnar) "GF-RV"
     else if (!newIds) "+COLS"

@@ -103,18 +103,17 @@ object Lbp {
     def next(): Boolean
   }
 
-  /** Filter the group's positions by the vectorized predicates; returns
+  /** Filter the group's positions by the compiled predicates; returns
     * whether the state is still alive. Operand bindings are resolved once
     * per block; the comparison runs in a tight loop (paper §6.2: all
     * primitive computations happen inside loops over blocks). Selection
     * compaction is in place (writes trail reads).
     */
-  private def filterGroup(preds: Array[VecPred], gi: Int, g: ListGroup,
+  private def filterGroup(preds: Array[CompiledPred], gi: Int, g: ListGroup,
                           buf: Array[Int], chunk: Chunk): Boolean = {
-    if (preds == null || preds.length == 0) return g.tupleCount > 0
     var j = 0
     while (j < preds.length) {
-      if (!applyVecPred(preds(j), gi, g, chunk, buf)) return false
+      if (!applyPred(preds(j), gi, g, chunk, buf)) return false
       j += 1
     }
     g.tupleCount > 0
@@ -132,53 +131,34 @@ object Lbp {
     r.access(readerOf(chunk, r).get(grp.curIdx))
   }
 
-  private def cmpOk(op: Int, a: Long, b: Long): Boolean = (op: @scala.annotation.switch) match {
-    case 0 => a < b
-    case 1 => a <= b
-    case 2 => a > b
-    case 3 => a >= b
-    case 4 => a == b
-    case _ => a != b
-  }
+  private def isActive(chunk: Chunk, r: OperandRef, gi: Int, g: ListGroup): Boolean =
+    groupOf(chunk, r) == gi && g.curIdx < 0
 
-  private def opCode(op: repro.query.CmpOp): Int = op match {
-    case repro.query.LT => 0
-    case repro.query.LE => 1
-    case repro.query.GT => 2
-    case repro.query.GE => 3
-    case repro.query.EQ => 4
-    case repro.query.NE => 5
-  }
-
-  private def mirror(op: Int): Int = op match {
-    case 0 => 2; case 1 => 3; case 2 => 0; case 3 => 1; case other => other
-  }
-
-  private def applyVecPred(vp: VecPred, gi: Int, g: ListGroup, chunk: Chunk,
-                           buf: Array[Int]): Boolean = {
-    val lhsActive = groupOf(chunk, vp.lhs) == gi && g.curIdx < 0
-    vp match {
-      case c: VecCmp =>
-        val rhsActive = c.rhs != null && groupOf(chunk, c.rhs) == gi && g.curIdx < 0
-        val op = opCode(c.op)
+  private def applyPred(pred: CompiledPred, gi: Int, g: ListGroup, chunk: Chunk,
+                        buf: Array[Int]): Boolean =
+    pred match {
+      case c: CmpPred =>
+        val lhsActive = isActive(chunk, c.lhs, gi, g)
+        val rhsActive = c.rhs != null && isActive(chunk, c.rhs, gi, g)
+        val op = c.op.code
         if (!lhsActive && !rhsActive) {
           // Fully flat: evaluate once for the current tuple.
           val a = flatValue(chunk, c.lhs)
           val b = if (c.rhs == null) c.const else flatValue(chunk, c.rhs)
-          return a != Values.Null && b != Values.Null && cmpOk(op, a, b)
+          return a != Values.Null && b != Values.Null && CmpOp.holds(op, a, b)
         }
         val nPos = g.numPos
         var n = 0
         if (lhsActive && !rhsActive) {
-          val rd = readerOf(chunk, vp.lhs)
-          val access = vp.lhs.access
+          val rd = readerOf(chunk, c.lhs)
+          val access = c.lhs.access
           val b = if (c.rhs == null) c.const else flatValue(chunk, c.rhs)
           if (b == Values.Null) { g.sel = buf; g.selLen = 0; return false }
           var i = 0
           while (i < nPos) {
             val p = g.posAt(i)
             val x = access(rd.get(p))
-            if (x != Values.Null && cmpOk(op, x, b)) { buf(n) = p; n += 1 }
+            if (x != Values.Null && CmpOp.holds(op, x, b)) { buf(n) = p; n += 1 }
             i += 1
           }
         } else if (!lhsActive && rhsActive) {
@@ -186,18 +166,18 @@ object Lbp {
           if (a == Values.Null) { g.sel = buf; g.selLen = 0; return false }
           val rd = readerOf(chunk, c.rhs)
           val access = c.rhs.access
-          val mop = mirror(op)
+          val mop = c.op.flip.code
           var i = 0
           while (i < nPos) {
             val p = g.posAt(i)
             val x = access(rd.get(p))
-            if (x != Values.Null && cmpOk(mop, x, a)) { buf(n) = p; n += 1 }
+            if (x != Values.Null && CmpOp.holds(mop, x, a)) { buf(n) = p; n += 1 }
             i += 1
           }
         } else {
           // Both operands in the active group (e.g. edge vs neighbour prop).
-          val rdL = readerOf(chunk, vp.lhs)
-          val accL = vp.lhs.access
+          val rdL = readerOf(chunk, c.lhs)
+          val accL = c.lhs.access
           val rdR = readerOf(chunk, c.rhs)
           val accR = c.rhs.access
           var i = 0
@@ -205,7 +185,7 @@ object Lbp {
             val p = g.posAt(i)
             val a = accL(rdL.get(p))
             val b = accR(rdR.get(p))
-            if (a != Values.Null && b != Values.Null && cmpOk(op, a, b)) { buf(n) = p; n += 1 }
+            if (a != Values.Null && b != Values.Null && CmpOp.holds(op, a, b)) { buf(n) = p; n += 1 }
             i += 1
           }
         }
@@ -213,11 +193,10 @@ object Lbp {
         g.selLen = n
         n > 0
 
-      case s: VecInSet =>
-        if (!lhsActive) {
+      case s: CodeSetPred =>
+        if (!isActive(chunk, s.lhs, gi, g)) {
           val a = flatValue(chunk, s.lhs)
-          val in = a != Values.Null && java.util.Arrays.binarySearch(s.codes, a) >= 0
-          return if (s.negate) a != Values.Null && !in else in
+          return a != Values.Null && java.util.Arrays.binarySearch(s.codes, a) >= 0
         }
         val rd = readerOf(chunk, s.lhs)
         val access = s.lhs.access
@@ -228,17 +207,16 @@ object Lbp {
         while (i < nPos) {
           val p = g.posAt(i)
           val x = access(rd.get(p))
-          if (x != Values.Null) {
-            val in = java.util.Arrays.binarySearch(codes, x) >= 0
-            if (in != s.negate) { buf(n) = p; n += 1 }
-          }
+          if (x != Values.Null && java.util.Arrays.binarySearch(codes, x) >= 0) { buf(n) = p; n += 1 }
           i += 1
         }
         g.sel = buf
         g.selLen = n
         n > 0
+
+      case _: RowStrPred =>
+        throw new IllegalStateException("raw-string predicates exist only on row storage")
     }
-  }
 
   private final class LScan(step: ScanStep, n: Int, chunk: Chunk,
                             blockSize: Int, lo: Int, hi: Int) extends Op {
@@ -259,7 +237,7 @@ object Lbp {
         g.curIdx = -1
         range.start = cur
         cur += size
-        if (filterGroup(step.vecPreds, gi, g, buf, chunk)) return true
+        if (filterGroup(step.preds, gi, g, buf, chunk)) return true
       }
       false
     }
@@ -338,7 +316,7 @@ object Lbp {
             else if (evSliceReader != null) evSliceReader.off = s
             else { genericReader.own = own; genericReader.off = s }
           }
-          if (filterGroup(step.vecPreds, gi, g, buf, chunk)) return true
+          if (filterGroup(step.preds, gi, g, buf, chunk)) return true
         }
       }
       false
@@ -377,7 +355,7 @@ object Lbp {
               flatHandle.value = step.props.handle(own, nbr, 0L, step.forward)
               chunk.eReader(step.eSlot) = flatHandle
             }
-            if (filterGroup(step.vecPreds, gi, g, selBuf, chunk)) return true
+            if (filterGroup(step.preds, gi, g, selBuf, chunk)) return true
           }
         } else {
           if (scratch.length < g.size) {
@@ -407,7 +385,7 @@ object Lbp {
           scratchReader.a = scratch
           chunk.vReader(step.toSlot) = scratchReader
           if (step.eSlot >= 0) { hScratchReader.a = hScratch; chunk.eReader(step.eSlot) = hScratchReader }
-          if (n > 0 && filterGroup(step.vecPreds, gi, g, selBuf, chunk)) return true
+          if (n > 0 && filterGroup(step.preds, gi, g, selBuf, chunk)) return true
         }
       }
       false

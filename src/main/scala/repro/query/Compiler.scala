@@ -2,7 +2,7 @@ package repro.query
 
 import repro.compress.Dictionary
 import repro.core.{GraphStore, Values}
-import repro.storage.{Adjacency, EdgePropAccessor}
+import repro.storage.{Adjacency, EdgePropAccessor, SingleAdjacency}
 
 /** Read context handed to compiled predicates: engines expose the current
   * binding of each vertex slot (a positional offset) and each edge slot
@@ -13,41 +13,65 @@ trait ReadCtx {
   def e(slot: Int): Long
 }
 
-/** A predicate compiled against one [[GraphStore]]: property accessors are
-  * resolved to the store's structures and string constants are translated
-  * to dictionary codes (columnar) or compared on raw strings (row storage).
-  */
-trait CompiledPred extends Serializable {
-  def eval(ctx: ReadCtx): Boolean
-}
-
 /** An operand resolved against the store: which tuple slot it reads
   * (vertex offset or edge handle) and the storage access from that value
   * to the property's Long (numeric or dictionary code).
   */
 final class OperandRef(val isEdge: Boolean, val slot: Int, val access: Long => Long)
-    extends Serializable
+    extends Serializable {
+  def read(ctx: ReadCtx): Long = access(if (isEdge) ctx.e(slot) else ctx.v(slot))
+}
 
-/** Predicates in vectorized form for the list-based processor: the operand
-  * bindings are resolved once per block, and the comparison runs in a tight
-  * loop over the block (paper §6.2, Filter). Only available on columnar
-  * stores, where string predicates reduce to dictionary-code comparisons.
+/** A predicate compiled once against one [[GraphStore]], in the one form
+  * both processors use: Volcano calls `eval` per tuple; LBP reads the
+  * operand fields and runs the same comparison in a tight loop over a
+  * block (paper §6.2, Filter). On columnar stores string tests are
+  * translated to dictionary codes here, so no processor decodes (§5.1).
+  * NULL operands fail every predicate.
   */
-sealed trait VecPred extends Serializable { def lhs: OperandRef }
-/** `lhs op rhs` (rhs == null means `lhs op const`). NULL operands fail. */
-final class VecCmp(val lhs: OperandRef, val op: CmpOp, val rhs: OperandRef,
-                   val const: Long) extends VecPred
-/** Sorted-code-set membership (IN / CONTAINS / STARTS WITH / string range);
-  * `negate` flips it (NOT IN), still failing NULLs.
+sealed abstract class CompiledPred extends Serializable {
+  def eval(ctx: ReadCtx): Boolean
+}
+
+/** `lhs op rhs`, or `lhs op const` when `rhs == null`: numeric comparisons,
+  * and string equality on dictionary codes (`const` is -1 when the string
+  * is not in the dictionary).
   */
-final class VecInSet(val lhs: OperandRef, val codes: Array[Long],
-                     val negate: Boolean) extends VecPred
+final class CmpPred(val lhs: OperandRef, val op: CmpOp, val rhs: OperandRef,
+                    val const: Long) extends CompiledPred {
+  private val code = op.code
+  def eval(ctx: ReadCtx): Boolean = {
+    val a = lhs.read(ctx)
+    val b = if (rhs == null) const else rhs.read(ctx)
+    a != Values.Null && b != Values.Null && CmpOp.holds(code, a, b)
+  }
+}
+
+/** Membership of a dictionary code in the sorted codes of the words that
+  * pass a [[StrTest]] (IN / CONTAINS / STARTS WITH / string range).
+  */
+final class CodeSetPred(val lhs: OperandRef, val codes: Array[Long]) extends CompiledPred {
+  def eval(ctx: ReadCtx): Boolean = {
+    val x = lhs.read(ctx)
+    x != Values.Null && java.util.Arrays.binarySearch(codes, x) >= 0
+  }
+}
+
+/** A [[StrTest]] on decoded strings, per tuple — row storage only, where
+  * strings are stored raw: the decode cost GF-RV pays.
+  */
+final class RowStrPred(isEdge: Boolean, slot: Int, str: Long => String,
+                       test: String => Boolean) extends CompiledPred {
+  def eval(ctx: ReadCtx): Boolean = {
+    val x = str(if (isEdge) ctx.e(slot) else ctx.v(slot))
+    x != null && test(x)
+  }
+}
 
 /** One step of the physical left-deep plan, shared by both processors. */
 sealed trait PlanStep extends Serializable
 
-final case class ScanStep(label: Int, vSlot: Int, preds: Array[CompiledPred],
-                          vecPreds: Array[VecPred]) extends PlanStep
+final case class ScanStep(label: Int, vSlot: Int, preds: Array[CompiledPred]) extends PlanStep
 
 /** Join step along one pattern edge.
   *
@@ -64,8 +88,7 @@ final case class ExtendStep(
     adj: Adjacency,
     props: EdgePropAccessor,
     single: Boolean,
-    preds: Array[CompiledPred],
-    vecPreds: Array[VecPred]
+    preds: Array[CompiledPred]
 ) extends PlanStep
 
 final case class Plan(
@@ -87,10 +110,7 @@ object Compiler {
       q.preds.flatMap(_.operands).collect { case EProp(a, _) => a }.toSet
     val eSlot: Map[String, Int] = neededAliases.toSeq.sorted.zipWithIndex.toMap
 
-    def compilePred(p: Pred): CompiledPred = PredCompiler.compile(p, q, store, vSlot, eSlot)
-    def compileVec(ps: Seq[Pred]): Array[VecPred] =
-      if (store.columnar) ps.map(p => PredCompiler.compileVec(p, q, store, vSlot, eSlot)).toArray
-      else null
+    val compiler = new PredCompiler(q, store, vSlot, eSlot)
 
     // Assign each predicate to the earliest step binding all its operands.
     var bound = Set(q.anchor)
@@ -108,7 +128,7 @@ object Compiler {
 
     val scanPreds = takeReady()
     val scanStep = ScanStep(schema.vertexIdx(q.varByName(q.anchor).label), vSlot(q.anchor),
-      scanPreds.map(compilePred).toArray, compileVec(scanPreds))
+      scanPreds.map(compiler.compile).toArray)
 
     val steps = q.joinOrder.map { ei =>
       val e = q.edges(ei)
@@ -128,9 +148,8 @@ object Compiler {
         eSlot = if (e.alias.nonEmpty) eSlot.getOrElse(e.alias, -1) else -1,
         adj = adj,
         props = store.edgeProps(el),
-        single = adj.isInstanceOf[repro.storage.SingleAdjacency],
-        preds = stepPreds.map(compilePred).toArray,
-        vecPreds = compileVec(stepPreds)
+        single = adj.isInstanceOf[SingleAdjacency],
+        preds = stepPreds.map(compiler.compile).toArray
       )
     }.toArray
 
@@ -139,222 +158,52 @@ object Compiler {
   }
 }
 
-private object PredCompiler {
+/** Compiles predicates of one query against one store. */
+private final class PredCompiler(q: Query, store: GraphStore,
+                                 vSlot: Map[String, Int], eSlot: Map[String, Int]) {
+  private val schema = store.schema
 
-  /** Vectorized compilation (columnar stores only): operands become
-    * (slot, storage access) pairs, string tests become dictionary-code
-    * constants or sorted code sets.
+  /** Resolve an operand's property to the store: `vertex(label, propIdx)`
+    * or `edge(edge property accessor, propIdx)`.
     */
-  def compileVec(p: Pred, q: Query, store: GraphStore,
-                 vSlot: Map[String, Int], eSlot: Map[String, Int]): VecPred = {
-    val schema = store.schema
-
-    def ref(o: Operand): OperandRef = o match {
-      case VProp(v, prop) =>
-        val label = schema.vertexIdx(q.varByName(v).label)
-        val pi = schema.vertices(label).propIdx(prop)
-        new OperandRef(isEdge = false, vSlot(v), store.vertexLongReader(label, pi))
-      case EProp(a, prop) =>
-        val edge = q.edgeByAlias(a)
-        val el = schema.edgeIdx(edge.label)
-        val pi = schema.edges(el).propIdx(prop)
-        new OperandRef(isEdge = true, eSlot(a), store.edgeProps(el).longReader(pi))
-    }
-
-    def dictOf(o: Operand): repro.compress.Dictionary = o match {
-      case VProp(v, prop) =>
-        val label = schema.vertexIdx(q.varByName(v).label)
-        store.vertexDict(label, schema.vertices(label).propIdx(prop))
-      case EProp(a, prop) =>
-        val edge = q.edgeByAlias(a)
-        val el = schema.edgeIdx(edge.label)
-        store.edgeProps(el).dict(schema.edges(el).propIdx(prop))
-    }
-
-    def codeSet(o: Operand, pred: String => Boolean): Array[Long] = {
-      val d = dictOf(o)
-      require(d != null, "string predicate on non-string property")
-      val a = d.codesWhere(pred).toArray
-      java.util.Arrays.sort(a)
-      a
-    }
-
-    p match {
-      case CmpConst(l, op, c) => new VecCmp(ref(l), op, null, c)
-      case CmpProps(l, op, r) => new VecCmp(ref(l), op, ref(r), 0L)
-      case StrPred(l, test) => test match {
-        case SEq(s) =>
-          new VecCmp(ref(l), EQ, null, dictOf(l).encodeOpt(s).map(_.toLong).getOrElse(-1L))
-        case SNe(s) =>
-          new VecCmp(ref(l), NE, null, dictOf(l).encodeOpt(s).map(_.toLong).getOrElse(-1L))
-        case SIn(ss)        => new VecInSet(ref(l), codeSet(l, ss.contains), negate = false)
-        case SContains(s)   => new VecInSet(ref(l), codeSet(l, _.contains(s)), negate = false)
-        case SStartsWith(s) => new VecInSet(ref(l), codeSet(l, _.startsWith(s)), negate = false)
-        case SCmp(op, s) =>
-          new VecInSet(ref(l), codeSet(l, w => op match {
-            case LT => w < s; case LE => w <= s; case GT => w > s
-            case GE => w >= s; case EQ => w == s; case NE => w != s
-          }), negate = false)
-      }
-    }
+  private def resolve[A](o: Operand)(vertex: (Int, Int) => A,
+                                     edge: (EdgePropAccessor, Int) => A): A = o match {
+    case VProp(v, prop) =>
+      val label = schema.vertexIdx(q.varByName(v).label)
+      vertex(label, schema.vertices(label).propIdx(prop))
+    case EProp(a, prop) =>
+      val el = schema.edgeIdx(q.edgeByAlias(a).label)
+      edge(store.edgeProps(el), schema.edges(el).propIdx(prop))
   }
 
-  def compile(p: Pred, q: Query, store: GraphStore,
-              vSlot: Map[String, Int], eSlot: Map[String, Int]): CompiledPred = {
-    val schema = store.schema
+  private def slotOf(o: Operand): Int = if (o.isEdge) eSlot(o.varName) else vSlot(o.varName)
 
-    // Long-valued reader for an operand (numeric value or dict code).
-    def longReader(o: Operand): ReadCtx => Long = o match {
-      case VProp(v, prop) =>
-        val label = schema.vertexIdx(q.varByName(v).label)
-        val pi = schema.vertices(label).propIdx(prop)
-        val slot = vSlot(v)
-        ctx => store.vertexLong(label, ctx.v(slot).toInt, pi)
-      case EProp(a, prop) =>
-        val edge = q.edgeByAlias(a)
-        val el = schema.edgeIdx(edge.label)
-        val pi = schema.edges(el).propIdx(prop)
-        val slot = eSlot(a)
-        val props = store.edgeProps(el)
-        ctx => props.getLong(ctx.e(slot), pi)
-    }
+  private def ref(o: Operand): OperandRef =
+    new OperandRef(o.isEdge, slotOf(o), resolve(o)(store.vertexLongReader, _.longReader(_)))
 
-    def stringReader(o: Operand): ReadCtx => String = o match {
-      case VProp(v, prop) =>
-        val label = schema.vertexIdx(q.varByName(v).label)
-        val pi = schema.vertices(label).propIdx(prop)
-        val slot = vSlot(v)
-        ctx => store.vertexString(label, ctx.v(slot).toInt, pi)
-      case EProp(a, prop) =>
-        val edge = q.edgeByAlias(a)
-        val el = schema.edgeIdx(edge.label)
-        val pi = schema.edges(el).propIdx(prop)
-        val slot = eSlot(a)
-        val props = store.edgeProps(el)
-        ctx => props.getString(ctx.e(slot), pi)
-    }
-
-    def dictOf(o: Operand): Dictionary = o match {
-      case VProp(v, prop) =>
-        val label = schema.vertexIdx(q.varByName(v).label)
-        store.vertexDict(label, schema.vertices(label).propIdx(prop))
-      case EProp(a, prop) =>
-        val edge = q.edgeByAlias(a)
-        val el = schema.edgeIdx(edge.label)
-        store.edgeProps(el).dict(schema.edges(el).propIdx(prop))
-    }
-
-    def cmp(op: CmpOp, a: Long, b: Long): Boolean = op match {
-      case LT => a < b
-      case LE => a <= b
-      case GT => a > b
-      case GE => a >= b
-      case EQ => a == b
-      case NE => a != b
-    }
-
-    p match {
-      case CmpConst(l, op, c) =>
-        val rd = longReader(l)
-        new CompiledPred {
-          def eval(ctx: ReadCtx): Boolean = {
-            val x = rd(ctx)
-            x != Values.Null && cmp(op, x, c)
-          }
-        }
-      case CmpProps(l, op, r) =>
-        val rl = longReader(l)
-        val rr = longReader(r)
-        new CompiledPred {
-          def eval(ctx: ReadCtx): Boolean = {
-            val a = rl(ctx)
-            val b = rr(ctx)
-            a != Values.Null && b != Values.Null && cmp(op, a, b)
-          }
-        }
-      case StrPred(l, test) =>
-        if (store.columnar) compileStrOnCodes(longReader(l), dictOf(l), test)
-        else compileStrOnStrings(stringReader(l), test)
-    }
+  private def dictOf(o: Operand): Dictionary = {
+    val d = resolve(o)(store.vertexDict, _.dict(_))
+    require(d != null, s"${q.name}: string predicate on non-string property $o")
+    d
   }
 
-  /** Columnar: the constant side becomes a code or code set once; the scan
-    * compares fixed-width codes without decoding (paper §5.1).
-    */
-  private def compileStrOnCodes(rd: ReadCtx => Long, dict: Dictionary, test: StrTest): CompiledPred = {
-    require(dict != null, "string predicate on non-string property")
-    def codeSet(pred: String => Boolean): Array[Long] = {
-      val a = dict.codesWhere(pred).toArray
-      java.util.Arrays.sort(a)
-      a
-    }
-    test match {
-      case SEq(s) =>
-        val code = dict.encodeOpt(s).map(_.toLong).getOrElse(-1L)
-        new CompiledPred { def eval(ctx: ReadCtx): Boolean = rd(ctx) == code }
-      case SNe(s) =>
-        val code = dict.encodeOpt(s).map(_.toLong).getOrElse(-1L)
-        new CompiledPred {
-          def eval(ctx: ReadCtx): Boolean = { val x = rd(ctx); x != Values.Null && x != code }
-        }
-      case SIn(ss) =>
-        val codes = codeSet(ss.contains)
-        new CompiledPred {
-          def eval(ctx: ReadCtx): Boolean = {
-            val x = rd(ctx)
-            x != Values.Null && java.util.Arrays.binarySearch(codes, x) >= 0
-          }
-        }
-      case SContains(s) =>
-        val codes = codeSet(_.contains(s))
-        new CompiledPred {
-          def eval(ctx: ReadCtx): Boolean = {
-            val x = rd(ctx)
-            x != Values.Null && java.util.Arrays.binarySearch(codes, x) >= 0
-          }
-        }
-      case SStartsWith(s) =>
-        val codes = codeSet(_.startsWith(s))
-        new CompiledPred {
-          def eval(ctx: ReadCtx): Boolean = {
-            val x = rd(ctx)
-            x != Values.Null && java.util.Arrays.binarySearch(codes, x) >= 0
-          }
-        }
-      case SCmp(op, s) =>
-        val codes = codeSet(w => op match {
-          case LT => w < s; case LE => w <= s; case GT => w > s
-          case GE => w >= s; case EQ => w == s; case NE => w != s
-        })
-        new CompiledPred {
-          def eval(ctx: ReadCtx): Boolean = {
-            val x = rd(ctx)
-            x != Values.Null && java.util.Arrays.binarySearch(codes, x) >= 0
-          }
-        }
-    }
-  }
-
-  /** Row storage: decode the raw bytes and compare strings per tuple — the
-    * cost GF-RV pays.
-    */
-  private def compileStrOnStrings(rd: ReadCtx => String, test: StrTest): CompiledPred = {
-    val f: String => Boolean = test match {
-      case SEq(s)         => x => x == s
-      case SNe(s)         => x => x != s
-      case SIn(ss)        => x => ss.contains(x)
-      case SContains(s)   => x => x.contains(s)
-      case SStartsWith(s) => x => x.startsWith(s)
-      case SCmp(op, s) => op match {
-        case LT => x => x < s; case LE => x => x <= s; case GT => x => x > s
-        case GE => x => x >= s; case EQ => x => x == s; case NE => x => x != s
+  def compile(p: Pred): CompiledPred = p match {
+    case CmpConst(l, op, c) => new CmpPred(ref(l), op, null, c)
+    case CmpProps(l, op, r) => new CmpPred(ref(l), op, ref(r), 0L)
+    case StrPred(l, test) if !store.columnar =>
+      val rows = store // the reader captures the store, not this compiler
+      val str = resolve(l)(
+        (label, pi) => (off: Long) => rows.vertexString(label, off.toInt, pi),
+        (props, pi) => (h: Long) => props.getString(h, pi))
+      new RowStrPred(l.isEdge, slotOf(l), str, test.matches)
+    case StrPred(l, test) =>
+      // The constant side becomes one code or a sorted code set, once.
+      val dict = dictOf(l)
+      def code(s: String): Long = dict.encodeOpt(s).fold(-1L)(_.toLong)
+      test match {
+        case SEq(s) => new CmpPred(ref(l), EQ, null, code(s))
+        case SNe(s) => new CmpPred(ref(l), NE, null, code(s))
+        case _      => new CodeSetPred(ref(l), dict.codesWhere(test.matches).toArray.sorted)
       }
-    }
-    new CompiledPred {
-      def eval(ctx: ReadCtx): Boolean = {
-        val x = rd(ctx)
-        x != null && f(x)
-      }
-    }
   }
 }

@@ -1,5 +1,7 @@
 package repro.query
 
+import scala.annotation.switch
+
 /** Engine-neutral query model: a subgraph pattern (the joins), a
   * conjunction of predicates, and a manually chosen left-deep join order —
   * the paper hand-picks best left-deep plans for GF-RV/GF-CL (§8.7).
@@ -11,13 +13,34 @@ final case class QVar(name: String, label: String)
   */
 final case class QEdge(label: String, srcVar: String, dstVar: String, alias: String = "")
 
-sealed trait CmpOp { def sql: String }
-case object LT extends CmpOp { val sql = "<" }
-case object LE extends CmpOp { val sql = "<=" }
-case object GT extends CmpOp { val sql = ">" }
-case object GE extends CmpOp { val sql = ">=" }
-case object EQ extends CmpOp { val sql = "=" }
-case object NE extends CmpOp { val sql = "<>" }
+/** A comparison operator. `code` indexes the one comparison table,
+  * [[CmpOp.holds]]; `flip` is the operator with its operands swapped
+  * (`a < b` iff `b > a`).
+  */
+sealed abstract class CmpOp(val sql: String, val code: Int) {
+  def flip: CmpOp
+}
+case object LT extends CmpOp("<", 0) { def flip: CmpOp = GT }
+case object LE extends CmpOp("<=", 1) { def flip: CmpOp = GE }
+case object GT extends CmpOp(">", 2) { def flip: CmpOp = LT }
+case object GE extends CmpOp(">=", 3) { def flip: CmpOp = LE }
+case object EQ extends CmpOp("=", 4) { def flip: CmpOp = EQ }
+case object NE extends CmpOp("<>", 5) { def flip: CmpOp = NE }
+
+object CmpOp {
+  /** `a op b` for the operator with `code` — the comparison table every
+    * processor and every predicate kind uses (LBP hoists `code` out of its
+    * block loops; string comparisons pass `compareTo` against 0).
+    */
+  def holds(code: Int, a: Long, b: Long): Boolean = (code: @switch) match {
+    case 0 => a < b
+    case 1 => a <= b
+    case 2 => a > b
+    case 3 => a >= b
+    case 4 => a == b
+    case _ => a != b
+  }
+}
 
 /** A property reference: vertex variable + property, or edge alias +
   * property.
@@ -41,7 +64,20 @@ final case class CmpConst(l: Operand, op: CmpOp, c: Long) extends Pred {
 final case class CmpProps(l: Operand, op: CmpOp, r: Operand) extends Pred {
   def operands: Seq[Operand] = Seq(l, r)
 }
-sealed trait StrTest
+sealed trait StrTest {
+  /** The test on one non-NULL string — the single string semantics. Row
+    * storage applies it per tuple; columnar stores apply it once per
+    * dictionary word to get the matching codes.
+    */
+  def matches: String => Boolean = this match {
+    case SEq(s)         => _ == s
+    case SNe(s)         => _ != s
+    case SIn(ss)        => ss.contains
+    case SContains(s)   => _.contains(s)
+    case SStartsWith(s) => _.startsWith(s)
+    case SCmp(op, s)    => val code = op.code; w => CmpOp.holds(code, w.compareTo(s), 0)
+  }
+}
 final case class SEq(s: String) extends StrTest
 final case class SNe(s: String) extends StrTest
 final case class SIn(ss: Set[String]) extends StrTest
@@ -49,8 +85,9 @@ final case class SContains(s: String) extends StrTest
 final case class SStartsWith(s: String) extends StrTest
 final case class SCmp(op: CmpOp, s: String) extends StrTest
 
-/** String predicate; on columnar stores it is evaluated purely on
-  * dictionary codes (the constant side is translated once per query).
+/** String predicate; NULL fails every test. On columnar stores it is
+  * evaluated purely on dictionary codes (the constant side is translated
+  * once per query).
   */
 final case class StrPred(l: Operand, test: StrTest) extends Pred {
   def operands: Seq[Operand] = Seq(l)

@@ -1,7 +1,6 @@
 package repro.storage
 
 import repro.compress.JacobsonIndex
-import repro.core.Values
 import repro.util.ByteWidthArray
 
 /** Offset level of a 2-level CSR (paper Fig. 3), optionally NULL-compressed:
@@ -49,7 +48,6 @@ final class CsrAdjacency(
     val edgeVals: ByteWidthArray // null when omitted
 ) extends Adjacency {
   def numVertices: Int = offsets.numVertices
-  def numEdges: Int = nbrs.length
   @inline def start(v: Int): Int = if (offsets.isEmptyList(v)) -1 else offsets.start(v)
   @inline def end(v: Int): Int = offsets.end(v)
   @inline def nbr(i: Int): Long = nbrs.get(i)
@@ -59,7 +57,7 @@ final class CsrAdjacency(
 }
 
 /** Single-cardinality adjacency stored as a vertex column (paper §4.1.2):
-  * `nbr(v)` is the single neighbour of v, or [[Values.Null]].
+  * `nbr(v)` is the single neighbour of v, or [[repro.core.Values.Null]].
   */
 final class SingleAdjacency(val col: VColumn) extends Adjacency {
   def numVertices: Int = col.length

@@ -26,11 +26,6 @@ trait EdgePropAccessor extends Serializable {
   def getString(handle: Long, propIdx: Int): String
   def dict(propIdx: Int): Dictionary
   def bytes: Long
-
-  /** True when forward-order iteration reads properties sequentially
-    * (single-indexed property pages); false for randomly ordered stores.
-    */
-  def sequentialForward: Boolean
 }
 
 /** Single-indexed edge property pages (paper §4.2, Fig. 5): the properties
@@ -65,7 +60,6 @@ final class PropertyPages(
   }
   def dict(propIdx: Int): Dictionary = columns.dicts(propIdx)
   def bytes: Long = pageBases.bytes + columns.bytes
-  def sequentialForward: Boolean = true
 
   /** Base slot of the page containing src vertex `src` (used by vectorized
     * readers to turn a whole adjacency list's page offsets into slots with
@@ -89,7 +83,6 @@ final class EdgeColumnStore(columns: ColumnSet) extends EdgePropAccessor {
   def getString(handle: Long, propIdx: Int): String = columns.getString(handle.toInt, propIdx)
   def dict(propIdx: Int): Dictionary = columns.dicts(propIdx)
   def bytes: Long = columns.bytes
-  def sequentialForward: Boolean = false
 }
 
 /** Edge properties of single-cardinality labels stored as vertex columns of
@@ -107,7 +100,6 @@ final class VColOwnerEdgeProps(ownerIsSrc: Boolean, columns: ColumnSet) extends 
   def getString(handle: Long, propIdx: Int): String = columns.getString(handle.toInt, propIdx)
   def dict(propIdx: Int): Dictionary = columns.dicts(propIdx)
   def bytes: Long = columns.bytes
-  def sequentialForward: Boolean = false
 }
 
 /** No properties on this label. */
@@ -119,7 +111,6 @@ object NoEdgeProps extends EdgePropAccessor {
     throw new IllegalStateException("label has no edge properties")
   def dict(propIdx: Int): Dictionary = null
   def bytes: Long = 0L
-  def sequentialForward: Boolean = true
 }
 
 object PropertyPages {

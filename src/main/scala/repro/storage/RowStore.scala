@@ -85,7 +85,6 @@ object RowStore {
     private val out = new java.io.ByteArrayOutputStream(numEntities * 8)
     private val ptrs = new Array[Long](numEntities)
     private var cur = -1
-    private var nPropsPos = -1
     private var nProps = 0
     private val pending = new java.io.ByteArrayOutputStream(64)
 
@@ -150,5 +149,4 @@ final class RowEdgeProps(rows: RowStore) extends EdgePropAccessor {
   def getString(handle: Long, propIdx: Int): String = rows.readString(handle.toInt, propIdx)
   def dict(propIdx: Int): Dictionary = null
   def bytes: Long = rows.bytes
-  def sequentialForward: Boolean = false
 }

@@ -28,9 +28,14 @@ class EngineSpec extends SparkSpec {
   }
 
   test("2-hop with cross-edge predicate (e2.since > e1.since) agrees") {
-    val q = MicroQueries.twoHopCrossPred("link", "node", "since")
-    val c = TestFixtures.checkAllSystems(TestFixtures.social, q)
-    assert(c > 0)
+    // The backward plan binds e1 first and flattens it when extending to
+    // e0, so LBP runs the mirrored comparison: flat lhs, active rhs.
+    val counts = Seq(true, false).map { fwd =>
+      val q = MicroQueries.twoHopCrossPred("link", "node", "since", forward = fwd)
+      TestFixtures.checkAllSystems(TestFixtures.social, q)
+    }
+    assert(counts.head > 0)
+    assert(counts.distinct.size == 1, s"forward and backward plans disagree: $counts")
   }
 
   for (hops <- 1 to 3) {

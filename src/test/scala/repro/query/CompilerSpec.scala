@@ -47,9 +47,26 @@ class CompilerSpec extends SparkSpec {
   }
 
   test("vectorized predicates exist on columnar stores only") {
+    // String predicates compile to dictionary-code forms (which LBP runs in
+    // block loops) on columnar stores, and to raw-string tests on GF-RV.
+    def kindIs(t: StrTest) = Query("kind",
+      vars = Seq(QVar("t", "title")), edges = Seq.empty,
+      preds = Seq(StrPred(VProp("t", "kind"), t)), anchor = "t", joinOrder = Seq.empty)
+    val tests = Seq(SEq("movie"), SNe("movie"), SIn(Set("movie", "short")),
+      SContains("v"), SStartsWith("tv"), SCmp(LT, "movie"))
+    for (t <- tests) {
+      val cl = Compiler.compile(kindIs(t), TestFixtures.imdb.gfcl).scan.preds.head
+      t match {
+        case SEq(_) | SNe(_) => assert(cl.isInstanceOf[CmpPred], t)
+        case _               => assert(cl.isInstanceOf[CodeSetPred], t)
+      }
+      assert(Compiler.compile(kindIs(t), TestFixtures.imdb.gfrv).scan.preds.head
+        .isInstanceOf[RowStrPred], t)
+    }
+    // Numeric predicates have one form on every store.
     val ic02 = queries.find(_.name == "IC02").get
-    assert(Compiler.compile(ic02, store).scan.vecPreds != null)
-    assert(Compiler.compile(ic02, TestFixtures.ldbc.gfrv).scan.vecPreds == null)
+    for (s <- Seq(store, TestFixtures.ldbc.gfrv))
+      assert(Compiler.compile(ic02, s).scan.preds.forall(_.isInstanceOf[CmpPred]))
   }
 
   test("cyclic patterns are rejected") {

@@ -65,7 +65,6 @@ class PropertyPagesSpec extends SparkSpec {
     val store = new EdgeColumnStore(new ColumnSet(Array(col), Array(null)))
     assert(store.handle(5, 7, 2, forward = true) == 2)
     assert(store.getLong(2, 0) == 30L)
-    assert(!store.sequentialForward)
   }
 
   test("VColOwnerEdgeProps resolves the owner on both directions") {
