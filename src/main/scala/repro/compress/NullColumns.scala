@@ -47,7 +47,7 @@ object NullCompressedColumn {
       if (present(i)) { packed(j) = dense(i); j += 1 }
       i += 1
     }
-    val vals = if (suppress) ByteWidthArray(packed) else ByteWidthArray.at(packed, 8)
+    val vals = ByteWidthArray(packed, suppress)
     new NullCompressedColumn(JacobsonIndex(present, c, m), vals, nullValue)
   }
 }

@@ -140,74 +140,63 @@ object GraphLoader {
       val fwdOrder = sortedOrder(src, nE)
       val bwdOrder = sortedOrder(dst, nE)
       val lensF = listLens(src, nSrc)
-      val lensB = listLens(dst, nDst)
-
-      // Page-level positional offsets, assigned in forward list order
-      // (paper §4.2: properties of k consecutive vertices' lists per page).
-      val pagePos = new Array[Long](nE)
-      run {
-        val k = config.pageK
-        var curPage = -1
-        var counter = 0L
-        var i = 0
-        while (i < nE) {
-          val e = fwdOrder(i)
-          val page = src(e) / k
-          if (page != curPage) { curPage = page; counter = 0L }
-          pagePos(e) = counter
-          counter += 1
-          i += 1
-        }
-      }
-      // Random global edge IDs for the COL_E variant (insertion order model).
-      lazy val randId: Array[Long] = {
-        val perm = new Array[Long](nE)
-        var i = 0
-        while (i < nE) { perm(i) = i.toLong; i += 1 }
-        val rnd = new java.util.Random(0x5eed + ei)
-        var j = nE - 1
-        while (j > 0) {
-          val x = rnd.nextInt(j + 1)
-          val t = perm(j); perm(j) = perm(x); perm(x) = t
-          j -= 1
-        }
-        perm
-      }
 
       val singleFwdAsCol = config.columnar && !config.singleCardAsCsr && edef.card.singleFwd
       val singleBwdAsCol = config.columnar && !config.singleCardAsCsr && edef.card.singleBwd
-      val propsInOwnerCol = config.columnar && !config.singleCardAsCsr && edef.singleCardinality
 
-      // Per-edge values stored in adjacency lists, per the decision tree of
-      // Fig. 6. Returns null when the component is factored out entirely.
-      def edgeValsFor(order: Array[Int]): ByteWidthArray = {
-        if (!config.columnar || !config.newIds) {
-          // Old ID scheme: consecutive 8-byte global edge IDs.
-          val vals = order.map(_.toLong)
-          ByteWidthArray.at(vals, if (config.zeroSuppress) ByteWidthArray.widthFor(math.max(0L, nE - 1L)) else 8)
-        } else if (!edef.hasProps || propsInOwnerCol) {
-          null // factored out: edges need not be identifiable
-        } else if (config.edgeColumns) {
-          val vals = order.map(e => randId(e))
-          if (config.zeroSuppress) ByteWidthArray(vals) else ByteWidthArray.at(vals, 8)
-        } else {
-          val vals = order.map(e => pagePos(e))
-          if (config.zeroSuppress) ByteWidthArray(vals) else ByteWidthArray.at(vals, 8)
-        }
+      // Global edge IDs: insertion order, or a random permutation of it for
+      // Table 3's COL_E (neither direction then reads sequentially).
+      lazy val randIds: Array[Long] = randomIds(nE, 0x5eed + ei)
+      val globalId: Int => Long = if (config.edgeColumns) randIds(_) else _.toLong
+      def propsByGlobalId: Array[AnyRef] =
+        if (config.edgeColumns) scatterProps(edef.props, g.edgeProps(ei), nE, nE, randIds(_).toInt)
+        else g.edgeProps(ei)
+
+      def ownerColumns: EdgePropAccessor = {
+        val ownerIsSrc = edef.card.singleFwd
+        val nOwn = if (ownerIsSrc) nSrc else nDst
+        val ownOf: Int => Int = if (ownerIsSrc) src(_) else dst(_)
+        val scattered = scatterProps(edef.props, g.edgeProps(ei), nE, nOwn, ownOf)
+        new VColOwnerEdgeProps(ownerIsSrc, buildColumnSet(edef.props, scattered, nOwn, config))
       }
 
-      def nbrWidth(maxNbr: Long): Int =
-        if (config.columnar && config.zeroSuppress) ByteWidthArray.widthFor(maxNbr) else 8
+      def propertyPages: EdgePropAccessor = {
+        // Slot order == forward list order.
+        val slotOf = new Array[Int](nE)
+        var i = 0
+        while (i < nE) { slotOf(fwdOrder(i)) = i; i += 1 }
+        val scattered = scatterProps(edef.props, g.edgeProps(ei), nE, nE, slotOf(_))
+        val bases = PropertyPages.buildBases(lensF, StorageConfig.ListsPerPage, suppress = config.zeroSuppress)
+        new PropertyPages(StorageConfig.ListsPerPage, bases, buildColumnSet(edef.props, scattered, nE, config))
+      }
+
+      // The edge layout (paper §4.2, Fig. 6), decided once per label: the
+      // value each edge's list entries store in both directions (null when
+      // the decision tree factors it out) and the property store it indexes.
+      // Old IDs index rows (GF-RV) or edge columns (+COLS, and COL_E at any
+      // step); new IDs are page-level offsets into property pages, or are
+      // omitted for property-less labels and owner-column properties.
+      val (edgeVal, props): (Int => Long, EdgePropAccessor) =
+        if (!config.columnar)
+          // GF-RV: one interpreted-layout record (and pointer) per edge,
+          // even for property-less labels.
+          (globalId, new RowEdgeProps(buildRowStore(edef.props, propsByGlobalId, nE)))
+        else if (!edef.hasProps || singleFwdAsCol || singleBwdAsCol)
+          (if (config.newIds) null else globalId, if (edef.hasProps) ownerColumns else NoEdgeProps)
+        else if (!config.newIds || config.edgeColumns)
+          (globalId, new EdgeColumnStore(buildColumnSet(edef.props, propsByGlobalId, nE, config)))
+        else { val pagePos = pagePositions(src, fwdOrder); (pagePos(_), propertyPages) }
+      edgePropStores(ei) = props
 
       def buildCsr(order: Array[Int], lens: Array[Int], nbrOf: Int => Long, maxNbr: Long): CsrAdjacency = {
         val nbrs = new Array[Long](nE)
         var i = 0
         while (i < nE) { nbrs(i) = nbrOf(order(i)); i += 1 }
-        val offsets = CsrAdjacency.buildOffsets(
-          lens, suppress = config.columnar && config.zeroSuppress,
-          nullCompress = config.columnar && config.nullCompress,
-          threshold = config.nullThreshold, c = config.c, m = config.m)
-        new CsrAdjacency(offsets, ByteWidthArray.at(nbrs, nbrWidth(maxNbr)), edgeValsFor(order))
+        val offsets = CsrAdjacency.buildOffsets(lens, suppress = config.zeroSuppress,
+          nullCompress = config.nullCompress, threshold = StorageConfig.NullFraction,
+          c = StorageConfig.RankC, m = StorageConfig.RankM)
+        val vals = if (edgeVal == null) null else ByteWidthArray(order.map(edgeVal), config.zeroSuppress)
+        new CsrAdjacency(offsets, ByteWidthArray.at(nbrs, ByteWidthArray.widthFor(maxNbr, config.zeroSuppress)), vals)
       }
 
       def buildSingle(nOwn: Int, ownOf: Int => Int, otherOf: Int => Long): SingleAdjacency = {
@@ -219,9 +208,7 @@ object GraphLoader {
           col(o) = otherOf(i)
           i += 1
         }
-        new SingleAdjacency(VColumn(col, suppress = config.zeroSuppress,
-          nullCompress = config.nullCompress, nullThreshold = config.nullThreshold,
-          c = config.c, m = config.m))
+        new SingleAdjacency(VColumn(col, suppress = config.zeroSuppress, nullCompress = config.nullCompress))
       }
 
       fwdAdj(ei) =
@@ -229,35 +216,7 @@ object GraphLoader {
         else buildCsr(fwdOrder, lensF, e => dst(e).toLong, math.max(0, nDst - 1).toLong)
       bwdAdj(ei) =
         if (singleBwdAsCol) buildSingle(nDst, i => dst(i), i => src(i).toLong)
-        else buildCsr(bwdOrder, lensB, e => src(e).toLong, math.max(0, nSrc - 1).toLong)
-
-      // ---- edge properties ----
-      edgePropStores(ei) =
-        if (!config.columnar) {
-          // GF-RV: one interpreted-layout record (and pointer) per edge,
-          // even for property-less labels.
-          new RowEdgeProps(buildRowStore(edef.props, g.edgeProps(ei), nE))
-        } else if (!edef.hasProps) {
-          NoEdgeProps
-        } else if (propsInOwnerCol) {
-          val ownerIsSrc = edef.card.singleFwd
-          val nOwn = if (ownerIsSrc) nSrc else nDst
-          val ownOf: Int => Int = if (ownerIsSrc) (i: Int) => src(i) else (i: Int) => dst(i)
-          // Scatter edge-row properties to the owning vertex's offset.
-          val scattered = scatterProps(edef.props, g.edgeProps(ei), nE, nOwn, ownOf)
-          new VColOwnerEdgeProps(ownerIsSrc, buildColumnSet(edef.props, scattered, nOwn, config))
-        } else if (config.edgeColumns) {
-          val scattered = scatterProps(edef.props, g.edgeProps(ei), nE, nE, i => randId(i).toInt)
-          new EdgeColumnStore(buildColumnSet(edef.props, scattered, nE, config))
-        } else {
-          // Property pages: slot order == forward list order.
-          val slotOf = new Array[Int](nE)
-          var i = 0
-          while (i < nE) { slotOf(fwdOrder(i)) = i; i += 1 }
-          val scattered = scatterProps(edef.props, g.edgeProps(ei), nE, nE, slotOf(_))
-          val bases = PropertyPages.buildBases(lensF, config.pageK, suppress = config.zeroSuppress)
-          new PropertyPages(config.pageK, bases, buildColumnSet(edef.props, scattered, nE, config))
-        }
+        else buildCsr(bwdOrder, listLens(dst, nDst), e => src(e).toLong, math.max(0, nSrc - 1).toLong)
     }
 
     new GraphStore(schema, config, g.vertexCounts.clone(), edgeCounts,
@@ -266,7 +225,37 @@ object GraphLoader {
 
   // ---- helpers ----
 
-  private def run[A](f: => A): A = f
+  /** Page-level positional offsets, assigned in forward list order (paper
+    * §4.2: properties of k consecutive vertices' lists per page).
+    */
+  private def pagePositions(src: Array[Int], fwdOrder: Array[Int]): Array[Long] = {
+    val pagePos = new Array[Long](src.length)
+    var curPage = -1
+    var counter = 0L
+    var i = 0
+    while (i < fwdOrder.length) {
+      val e = fwdOrder(i)
+      val page = src(e) / StorageConfig.ListsPerPage
+      if (page != curPage) { curPage = page; counter = 0L }
+      pagePos(e) = counter
+      counter += 1
+      i += 1
+    }
+    pagePos
+  }
+
+  /** A seeded random permutation of [0, n) (Fisher-Yates). */
+  private def randomIds(n: Int, seed: Long): Array[Long] = {
+    val perm = Array.tabulate(n)(_.toLong)
+    val rnd = new java.util.Random(seed)
+    var j = n - 1
+    while (j > 0) {
+      val x = rnd.nextInt(j + 1)
+      val t = perm(j); perm(j) = perm(x); perm(x) = t
+      j -= 1
+    }
+    perm
+  }
 
   /** Edge indices sorted by a key vertex (stable via index tie-break). */
   private def sortedOrder(key: Array[Int], nE: Int): Array[Int] = {
@@ -316,8 +305,7 @@ object GraphLoader {
     for (pi <- defs.indices) defs(pi).ptype match {
       case PLongT =>
         cols(pi) = VColumn(props(pi).asInstanceOf[Array[Long]],
-          suppress = config.zeroSuppress, nullCompress = config.nullCompress,
-          nullThreshold = config.nullThreshold, c = config.c, m = config.m)
+          suppress = config.zeroSuppress, nullCompress = config.nullCompress)
       case PStringT =>
         val vals = props(pi).asInstanceOf[Array[String]]
         val dict = Dictionary.fromValues(vals.iterator)
@@ -330,7 +318,6 @@ object GraphLoader {
         // Dictionary codes are fixed-length by construction (§5.1), so the
         // code width applies even before the +0-SUPR step.
         cols(pi) = VColumn(codes, suppress = true, nullCompress = config.nullCompress,
-          nullThreshold = config.nullThreshold, c = config.c, m = config.m,
           fixedWidth = dict.codeWidth)
         dicts(pi) = dict
     }

@@ -1,60 +1,68 @@
 package repro.core
 
-/** Storage configuration — the step-wise optimization ladder of Table 2
-  * plus the micro-benchmark variants of Tables 3 and 4.
+/** Storage configuration — a step of Table 2's optimization ladder plus
+  * the micro-benchmark variants of Tables 3 and 4. Each step keeps the
+  * optimizations of the steps before it:
   *
-  * @param columnar      +COLS: vertex properties in vertex columns, edge
-  *                      properties in single-indexed property pages, single
-  *                      cardinality edges in vertex columns. When false the
-  *                      store is GF-RV: interpreted-attribute-layout rows,
-  *                      8-byte IDs, all edges in CSRs.
-  * @param newIds        +NEW-IDS: (label, src vertex, page-level positional
-  *                      offset) edge IDs; ID components factored out per the
-  *                      decision tree of Fig. 6 (edge IDs omitted for
-  *                      property-less and single-cardinality labels).
-  * @param zeroSuppress  +0-SUPR: leading-0 suppression — minimal uniform
-  *                      byte widths for ID components, offsets, and codes.
-  * @param nullCompress  +NULL: Jacobson-indexed NULL compression of empty
-  *                      adjacency lists and sparse columns (threshold
-  *                      `nullThreshold`).
-  * @param edgeColumns   Table 3 COL_E variant: edge properties in randomly
-  *                      ordered edge columns instead of property pages.
+  *  - 0, GF-RV: interpreted-attribute-layout rows, 8-byte global edge IDs,
+  *    all edges in CSRs.
+  *  - 1, +COLS: vertex properties in vertex columns, edge properties in edge
+  *    columns indexed by the same global edge IDs, single-cardinality
+  *    edges (and their properties) in vertex columns.
+  *  - 2, +NEW-IDS: (label, src vertex, page-level positional offset) edge IDs
+  *    indexing single-indexed property pages; ID components factored out
+  *    per the decision tree of Fig. 6.
+  *  - 3, +0-SUPR: leading-0 suppression — minimal uniform byte widths for ID
+  *    components, offsets and values.
+  *  - 4, GF-CL (+NULL): Jacobson-indexed NULL compression of empty adjacency
+  *    lists and sparse columns.
+  *
+  * @param step            index into [[StorageConfig.ladder]]
+  * @param edgeColumns     Table 3 COL_E variant: edge IDs are a random
+  *                        permutation (insertion order) and index edge
+  *                        columns, instead of property pages.
   * @param singleCardAsCsr Table 4 CSR-* variant: store single-cardinality
-  *                      edges in CSRs instead of vertex columns.
-  * @param pageK         lists per property page (paper default 128).
-  * @param c, m          Jacobson index parameters (paper defaults 16, 16).
+  *                        edges in CSRs instead of vertex columns.
   */
 final case class StorageConfig(
-    columnar: Boolean,
-    newIds: Boolean,
-    zeroSuppress: Boolean,
-    nullCompress: Boolean,
+    step: Int,
     edgeColumns: Boolean = false,
-    singleCardAsCsr: Boolean = false,
-    pageK: Int = 128,
-    c: Int = 16,
-    m: Int = 16,
-    nullThreshold: Double = 0.05
+    singleCardAsCsr: Boolean = false
 ) extends Serializable {
-  def name: String =
-    if (!columnar) "GF-RV"
-    else if (!newIds) "+COLS"
-    else if (!zeroSuppress) "+NEW-IDS"
-    else if (!nullCompress) "+0-SUPR"
-    else "GF-CL"
+  require(step >= 0 && step < StorageConfig.stepNames.length, s"no ladder step $step")
+
+  def name: String = StorageConfig.stepNames(step)
+  def columnar: Boolean = step >= 1
+  def newIds: Boolean = step >= 2
+  def zeroSuppress: Boolean = step >= 3
+  def nullCompress: Boolean = step >= 4
 }
 
 object StorageConfig {
+  private val stepNames: IndexedSeq[String] = IndexedSeq("GF-RV", "+COLS", "+NEW-IDS", "+0-SUPR", "GF-CL")
+
   /** Row storage + 8-byte IDs: the GF-RV baseline. */
-  val GFRV: StorageConfig = StorageConfig(columnar = false, newIds = false, zeroSuppress = false, nullCompress = false)
+  val GFRV: StorageConfig = StorageConfig(0)
   /** Step 1 of Table 2. */
-  val COLS: StorageConfig = GFRV.copy(columnar = true)
+  val COLS: StorageConfig = StorageConfig(1)
   /** Step 2. */
-  val NEWIDS: StorageConfig = COLS.copy(newIds = true)
+  val NEWIDS: StorageConfig = StorageConfig(2)
   /** Step 3 (aka +OMIT / V-COL-UNC in Table 4). */
-  val ZSUPR: StorageConfig = NEWIDS.copy(zeroSuppress = true)
+  val ZSUPR: StorageConfig = StorageConfig(3)
   /** Step 4: the full columnar configuration (storage of GF-CL and GF-CV). */
-  val GFCL: StorageConfig = ZSUPR.copy(nullCompress = true)
+  val GFCL: StorageConfig = StorageConfig(4)
 
   val ladder: Seq[StorageConfig] = Seq(GFRV, COLS, NEWIDS, ZSUPR, GFCL)
+
+  // The paper's layout constants (Table 7 varies c and m on
+  // NullCompressedColumn / JacobsonIndex directly).
+  /** Adjacency lists per property page, k (§4.2). */
+  final val ListsPerPage = 128
+  /** Jacobson index chunk and super-block parameters, c and m (§5.3). */
+  final val RankC = 16
+  final val RankM = 16
+  /** NULL fraction above which a column or CSR offset level is
+    * NULL-compressed (§5.3).
+    */
+  final val NullFraction = 0.05
 }

@@ -1,7 +1,6 @@
 package repro.datasets
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.core._
 
 /** Power-law social/hyperlink graphs with a `since` timestamp edge property

@@ -2,7 +2,7 @@ package repro.engine
 
 import repro.core.{GraphStore, Values}
 import repro.query._
-import repro.storage.{CsrAdjacency, EdgePropAccessor, SingleAdjacency}
+import repro.storage.{CsrAdjacency, EdgeColumnStore, PropertyPages, SingleAdjacency, VColOwnerEdgeProps}
 import repro.util.ByteWidthArray
 
 /** List-based processor — LBP (paper §6). Intermediate tuples are a set of
@@ -27,9 +27,15 @@ object Lbp {
     var start: Long = 0L
     def get(i: Int): Long = start + i
   }
-  /** Points into an adjacency array — no copy (paper §6.2, ListExtend). */
-  private final class SliceReader(a: ByteWidthArray) extends LongReader {
+  /** A reader re-pointed at each adjacency list (of vertex `own`, starting
+    * at slot `off`).
+    */
+  private sealed abstract class SlotReader extends LongReader {
     var off: Int = 0
+    def point(start: Int, own: Long): Unit = off = start
+  }
+  /** Points into an adjacency array — no copy (paper §6.2, ListExtend). */
+  private final class SliceReader(a: ByteWidthArray) extends SlotReader {
     def get(i: Int): Long = a.get(off + i)
   }
   private final class ScratchReader extends LongReader {
@@ -39,33 +45,21 @@ object Lbp {
   /** Forward property-page handles: the page base is fixed for the whole
     * adjacency list, so handles are base + page-level offsets.
     */
-  private final class BasedSliceReader(ev: ByteWidthArray) extends LongReader {
-    var off: Int = 0
-    var base: Long = 0L
+  private final class BasedSliceReader(pages: PropertyPages, ev: ByteWidthArray) extends SlotReader {
+    private var base: Long = 0L
+    override def point(start: Int, own: Long): Unit = { off = start; base = pages.pageBase(own) }
     def get(i: Int): Long = base + ev.get(off + i)
   }
   /** Backward property-page handles: pageBase(neighbour) + page offset,
     * with the page store bound directly (no generic handle dispatch).
     */
-  private final class BwdPageHandleReader(pages: repro.storage.PropertyPages,
-                                          ev: ByteWidthArray, nbrs: ByteWidthArray) extends LongReader {
-    var off: Int = 0
+  private final class BwdPageHandleReader(pages: PropertyPages,
+                                          ev: ByteWidthArray, nbrs: ByteWidthArray) extends SlotReader {
     def get(i: Int): Long = pages.pageBase(nbrs.get(off + i)) + ev.get(off + i)
   }
   private final class ConstReader extends LongReader {
     var value: Long = 0L
     def get(i: Int): Long = value
-  }
-  /** Lazily resolves edge property handles from the adjacency slice
-    * (generic fallback; the specialized variants above skip dispatch).
-    */
-  private final class HandleReader(props: EdgePropAccessor, forward: Boolean,
-                                   ev: ByteWidthArray, nbrs: ByteWidthArray) extends LongReader {
-    var own: Long = 0L
-    var off: Int = 0
-    def get(i: Int): Long =
-      props.handle(own, nbrs.get(off + i),
-        if (ev == null) 0L else ev.get(off + i), forward)
   }
 
   /** One factorized group of equal-length blocks (paper §6.1). */
@@ -262,32 +256,21 @@ object Lbp {
 
     private val nbrReader = new SliceReader(adj.nbrs)
     chunk.vReader(step.toSlot) = nbrReader
-    // Edge-handle reader specialized once per step by store layout.
-    private val basedReader = step.props match {
-      case _: repro.storage.PropertyPages if step.forward && adj.edgeVals != null =>
-        new BasedSliceReader(adj.edgeVals)
-      case _ => null
+    // Edge-handle reader, chosen once per step by the label's property
+    // store (GraphLoader.build decides the store together with the list's
+    // edge values).
+    private val edgeReader: SlotReader = if (step.eSlot < 0) null else step.props match {
+      case pages: PropertyPages =>
+        if (step.forward) new BasedSliceReader(pages, adj.edgeVals)
+        else new BwdPageHandleReader(pages, adj.edgeVals, adj.nbrs)
+      case _: EdgeColumnStore => new SliceReader(adj.edgeVals)
+      case owner: VColOwnerEdgeProps =>
+        // Lists run away from the single-cardinality owner: the handle is the neighbour.
+        require(owner.ownerIsSrc != step.forward, "owner-column properties behind an owner-side CSR")
+        nbrReader
+      case other => throw new IllegalStateException(s"LBP reads no edge properties from $other")
     }
-    private val bwdPageReader = step.props match {
-      case pages: repro.storage.PropertyPages if !step.forward && adj.edgeVals != null =>
-        new BwdPageHandleReader(pages, adj.edgeVals, adj.nbrs)
-      case _ => null
-    }
-    private val evSliceReader = step.props match {
-      case _: repro.storage.EdgeColumnStore if adj.edgeVals != null =>
-        new SliceReader(adj.edgeVals)
-      case _ => null
-    }
-    private val genericReader = new HandleReader(step.props, step.forward, adj.edgeVals, adj.nbrs)
-    if (step.eSlot >= 0) chunk.eReader(step.eSlot) =
-      if (basedReader != null) basedReader
-      else if (bwdPageReader != null) bwdPageReader
-      else if (evSliceReader != null) evSliceReader
-      else genericReader
-    private val pages = step.props match {
-      case p: repro.storage.PropertyPages => p
-      case _                              => null
-    }
+    if (edgeReader != null) chunk.eReader(step.eSlot) = edgeReader
 
     def open(): Unit = { child.open(); inPos = 0; inLen = 0 }
 
@@ -310,12 +293,7 @@ object Lbp {
           g.curIdx = -1
           if (buf.length < g.size) buf = new Array[Int](Integer.highestOneBit(g.size - 1) << 1)
           nbrReader.off = s
-          if (step.eSlot >= 0) {
-            if (basedReader != null) { basedReader.off = s; basedReader.base = pages.pageBase(own) }
-            else if (bwdPageReader != null) bwdPageReader.off = s
-            else if (evSliceReader != null) evSliceReader.off = s
-            else { genericReader.own = own; genericReader.off = s }
-          }
+          if (edgeReader != null) edgeReader.point(s, own)
           if (filterGroup(step.preds, gi, g, buf, chunk)) return true
         }
       }

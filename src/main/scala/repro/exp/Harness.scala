@@ -84,7 +84,7 @@ final class TablePrinter(title: String) {
 /** Entry-point helper shared by jobs/ mains. */
 object JobMain {
   def session(): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-bench")
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

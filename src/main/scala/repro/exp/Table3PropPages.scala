@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.datasets.{LdbcLite, SocialGraph}
 import repro.engine.Lbp
-import repro.query.{Compiler, Query}
 
 /** Table 3: single-indexed property pages (PAGE_P) vs randomly-ordered edge
   * columns (COL_E) on 1-/2-hop queries with edge-property predicates, under

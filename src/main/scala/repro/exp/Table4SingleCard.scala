@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.core._
 import repro.datasets.GenUtil
 import repro.engine.Lbp

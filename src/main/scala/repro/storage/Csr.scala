@@ -95,7 +95,7 @@ object CsrAdjacency {
         i += 1
       }
       starts(nonEmpty) = acc
-      val enc = if (suppress) ByteWidthArray(starts) else ByteWidthArray.at(starts, 8)
+      val enc = ByteWidthArray(starts, suppress)
       new CompressedOffsets(JacobsonIndex(present, c, m), enc)
     } else {
       val off = new Array[Long](n + 1)
@@ -103,7 +103,7 @@ object CsrAdjacency {
       i = 0
       while (i < n) { off(i) = acc; acc += listLens(i); i += 1 }
       off(n) = acc
-      val enc = if (suppress) ByteWidthArray(off) else ByteWidthArray.at(off, 8)
+      val enc = ByteWidthArray(off, suppress)
       new PlainOffsets(enc)
     }
   }

@@ -28,6 +28,20 @@ trait EdgePropAccessor extends Serializable {
   def bytes: Long
 }
 
+/** An edge-property store whose values live in one [[ColumnSet]] indexed
+  * by the handle. Each store states only its handle rule.
+  */
+sealed abstract class ColumnEdgeProps(columns: ColumnSet) extends EdgePropAccessor {
+  final def getLong(handle: Long, propIdx: Int): Long = columns.get(handle.toInt, propIdx)
+  final def getString(handle: Long, propIdx: Int): String = columns.getString(handle.toInt, propIdx)
+  final override def longReader(propIdx: Int): Long => Long = {
+    val col = columns.cols(propIdx)
+    h => col.get(h.toInt)
+  }
+  final def dict(propIdx: Int): Dictionary = columns.dicts(propIdx)
+  def bytes: Long = columns.bytes
+}
+
 /** Single-indexed edge property pages (paper §4.2, Fig. 5): the properties
   * of the forward adjacency lists of k consecutive source vertices are laid
   * out contiguously in one page. The edge ID scheme (edge label, src vertex,
@@ -39,7 +53,7 @@ final class PropertyPages(
     val k: Int,
     pageBases: ByteWidthArray, // numPages + 1
     columns: ColumnSet
-) extends EdgePropAccessor {
+) extends ColumnEdgeProps(columns) {
   // src / k as a shift when k is a power of two (the default 128 is) —
   // a hardware divide per property read would dominate the lookup.
   private val kShift: Int = if (Integer.bitCount(k) == 1) Integer.numberOfTrailingZeros(k) else -1
@@ -52,14 +66,7 @@ final class PropertyPages(
   def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long =
     if (forward) slot(own, ev) else slot(nbr, ev)
 
-  def getLong(handle: Long, propIdx: Int): Long = columns.get(handle.toInt, propIdx)
-  def getString(handle: Long, propIdx: Int): String = columns.getString(handle.toInt, propIdx)
-  override def longReader(propIdx: Int): Long => Long = {
-    val col = columns.cols(propIdx)
-    h => col.get(h.toInt)
-  }
-  def dict(propIdx: Int): Dictionary = columns.dicts(propIdx)
-  def bytes: Long = pageBases.bytes + columns.bytes
+  override def bytes: Long = pageBases.bytes + super.bytes
 
   /** Base slot of the page containing src vertex `src` (used by vectorized
     * readers to turn a whole adjacency list's page offsets into slots with
@@ -68,38 +75,22 @@ final class PropertyPages(
   @inline def pageBase(src: Long): Long = pageBases.get(pageOf(src))
 }
 
-/** Plain edge columns (paper §4.2 baseline, Table 3 COL_E): properties are
-  * indexed by a global edge ID whose order reflects insertion order — we
-  * model that with a random permutation, so neither direction reads
+/** Edge columns indexed by a global edge ID (the paper's pre-NEW-IDS
+  * design, §4.2): the ID is the edge's insertion position, or a random
+  * permutation of it for Table 3's COL_E, so neither direction reads
   * sequentially.
   */
-final class EdgeColumnStore(columns: ColumnSet) extends EdgePropAccessor {
+final class EdgeColumnStore(columns: ColumnSet) extends ColumnEdgeProps(columns) {
   def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long = ev
-  def getLong(handle: Long, propIdx: Int): Long = columns.get(handle.toInt, propIdx)
-  override def longReader(propIdx: Int): Long => Long = {
-    val col = columns.cols(propIdx)
-    h => col.get(h.toInt)
-  }
-  def getString(handle: Long, propIdx: Int): String = columns.getString(handle.toInt, propIdx)
-  def dict(propIdx: Int): Dictionary = columns.dicts(propIdx)
-  def bytes: Long = columns.bytes
 }
 
 /** Edge properties of single-cardinality labels stored as vertex columns of
   * the owning endpoint (paper §4.1.2, Table 1): src when n-1, dst when 1-n.
   * The handle is the owner's positional offset — no indirection at all.
   */
-final class VColOwnerEdgeProps(ownerIsSrc: Boolean, columns: ColumnSet) extends EdgePropAccessor {
+final class VColOwnerEdgeProps(val ownerIsSrc: Boolean, columns: ColumnSet) extends ColumnEdgeProps(columns) {
   def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long =
     if (ownerIsSrc == forward) own else nbr
-  def getLong(handle: Long, propIdx: Int): Long = columns.get(handle.toInt, propIdx)
-  override def longReader(propIdx: Int): Long => Long = {
-    val col = columns.cols(propIdx)
-    h => col.get(h.toInt)
-  }
-  def getString(handle: Long, propIdx: Int): String = columns.getString(handle.toInt, propIdx)
-  def dict(propIdx: Int): Dictionary = columns.dicts(propIdx)
-  def bytes: Long = columns.bytes
 }
 
 /** No properties on this label. */
@@ -128,6 +119,6 @@ object PropertyPages {
       p += 1
     }
     bases(nPages) = acc
-    if (suppress) ByteWidthArray(bases) else ByteWidthArray.at(bases, 8)
+    ByteWidthArray(bases, suppress)
   }
 }

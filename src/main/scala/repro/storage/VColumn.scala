@@ -1,7 +1,7 @@
 package repro.storage
 
 import repro.compress.{Dictionary, NullCompressedColumn}
-import repro.core.Values
+import repro.core.{StorageConfig, Values}
 import repro.util.ByteWidthArray
 
 /** A vertex column (paper §4.1.2): one fixed-width value per positional
@@ -41,10 +41,11 @@ object VColumn {
     *
     * @param suppress      apply leading-0 suppression (+0-SUPR)
     * @param nullCompress  apply Jacobson NULL compression when the NULL
-    *                      fraction exceeds `nullThreshold`
+    *                      fraction exceeds [[StorageConfig.NullFraction]]
+    * @param fixedWidth    width of a fixed-length code domain (dictionary
+    *                      codes), used whether or not `suppress` is set
     */
   def apply(dense: Array[Long], suppress: Boolean, nullCompress: Boolean,
-            nullThreshold: Double = 0.05, c: Int = 16, m: Int = 16,
             fixedWidth: Int = -1): VColumn = {
     var nulls = 0
     var max = 0L
@@ -59,17 +60,17 @@ object VColumn {
       i += 1
     }
     val nullFrac = if (dense.length == 0) 0.0 else nulls.toDouble / dense.length
-    if (nullCompress && nullFrac > nullThreshold) {
-      new CompressedVColumn(NullCompressedColumn(dense, c, m, suppress))
+    if (nullCompress && nullFrac > StorageConfig.NullFraction) {
+      new CompressedVColumn(NullCompressedColumn(dense, StorageConfig.RankC, StorageConfig.RankM, suppress))
     } else {
       // Sentinel = max+1 keeps NULLs representable inside the fixed width.
       val sentinel = if (nulls > 0) max + 1 else -1L
       val enc = if (nulls > 0) dense.map(x => if (x == Values.Null) sentinel else x) else dense
+      val maxCode = math.max(max, sentinel)
       val width =
-        if (fixedWidth > 0) fixedWidth
-        else if (suppress) ByteWidthArray.widthFor(math.max(max, sentinel))
-        else 8
-      new PlainVColumn(ByteWidthArray.at(enc, math.max(width, ByteWidthArray.widthFor(math.max(max, sentinel)))), sentinel)
+        if (fixedWidth > 0) math.max(fixedWidth, ByteWidthArray.widthFor(maxCode))
+        else ByteWidthArray.widthFor(maxCode, suppress)
+      new PlainVColumn(ByteWidthArray.at(enc, width), sentinel)
     }
   }
 }

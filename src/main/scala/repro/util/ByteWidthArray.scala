@@ -53,6 +53,12 @@ object ByteWidthArray {
     else if (maxValue < (1L << 32)) 4
     else 8
 
+  /** The leading-0 suppression policy (+0-SUPR): the minimal width for
+    * `maxValue` when `suppress`, otherwise the uncompressed 8 bytes.
+    */
+  def widthFor(maxValue: Long, suppress: Boolean): Int =
+    if (suppress) widthFor(maxValue) else 8
+
   /** Encode `values` (all must be >= 0) at the minimal uniform width. */
   def apply(values: Array[Long]): ByteWidthArray = {
     var max = 0L
@@ -65,6 +71,12 @@ object ByteWidthArray {
     }
     at(values, widthFor(max))
   }
+
+  /** Encode `values` under the leading-0 policy: minimal width when
+    * `suppress`, otherwise 8 bytes.
+    */
+  def apply(values: Array[Long], suppress: Boolean): ByteWidthArray =
+    if (suppress) apply(values) else at(values, 8)
 
   /** Encode at an explicit width; used to model uncompressed (8-byte)
     * baselines such as GF-RV's 8-byte IDs.

@@ -2,7 +2,6 @@ package repro.datasets
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
-import repro.core._
 
 /** Structural invariants of the synthetic datasets — the properties the
   * paper's experiments rely on (cardinalities, sparsity, degree shape).

@@ -64,6 +64,18 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  // studyAt is n-1: its properties live in person (owner) vertex columns.
+  for ((fwd, path) <- Seq(true -> "person->org (ColumnExtend)", false -> "org->person (list direction)")) {
+    test(s"owner-column edge predicate studyAt.classYear, $path, agrees across systems") {
+      val q = Query(s"studyAt-classYear-${if (fwd) "F" else "B"}",
+        vars = Seq(QVar("p", "person"), QVar("o", "org")),
+        edges = Seq(QEdge("studyAt", "p", "o", alias = "s")),
+        preds = Seq(CmpConst(EProp("s", "classYear"), GT, 2005)),
+        anchor = if (fwd) "p" else "o", joinOrder = Seq(0))
+      assert(TestFixtures.checkAllSystems(TestFixtures.ldbc, q) > 0)
+    }
+  }
+
   test("scan-only plan (no edges) agrees") {
     val q = Query("scan-only",
       vars = Seq(QVar("a", "node")),
