@@ -10,6 +10,10 @@ package repro.compress
   * `M(b, i)` is the number of 1s before the i-th bit of the c-length bit
   * string b.
   *
+  * The bit string is packed 64 positions per Long. `c` is a power of two
+  * <= 16, so a c-bit chunk never crosses a word and is read by shift and
+  * mask; `p / c` and `p % c` are shifts.
+  *
   * Defaults c = m = 16: a 1 MB static map shared by all instances, blocks of
   * 2^m = 64K elements per prefix-sum block, and m/c = 1 extra bit per
   * element on top of the 1-bit bit string.
@@ -18,24 +22,24 @@ final class JacobsonIndex private (
     val c: Int,
     val m: Int,
     n: Int,
-    chunks: Array[Int],      // one c-bit chunk of the bit string per cell
+    bits: Array[Long],       // the bit string, 64 positions per word
     prefixSums: Array[Long], // packed m-bit per-chunk prefix sums (block-relative)
     blockBases: Array[Long], // rank at the start of each 2^m-element block
     map: JacobsonIndex.PopcountMap
 ) extends Serializable {
 
+  private val logC = Integer.numberOfTrailingZeros(c)
+  private val chunkMask = (1 << c) - 1
+
   val length: Int = n
 
-  def isSet(p: Int): Boolean = {
-    val chunk = chunks(p / c)
-    ((chunk >>> (p % c)) & 1) == 1
-  }
+  def isSet(p: Int): Boolean = ((bits(p >>> 6) >>> (p & 63)) & 1L) != 0
 
   /** Number of set bits strictly before position p. Constant time. */
   def rank(p: Int): Long = {
-    val chunkIdx = p / c
-    val ps = readPrefixSum(chunkIdx)
-    blockBases((p.toLong >>> m).toInt) + ps + map.onesBefore(chunks(chunkIdx), p % c)
+    // p & (64 - c) is the first bit of p's chunk within its word.
+    val chunk = (bits(p >>> 6) >>> (p & (64 - c))).toInt & chunkMask
+    blockBases((p.toLong >>> m).toInt) + readPrefixSum(p >>> logC) + map.onesBefore(chunk, p & (c - 1))
   }
 
   private def readPrefixSum(chunkIdx: Int): Long = {
@@ -50,16 +54,12 @@ final class JacobsonIndex private (
     v & ((1L << m) - 1)
   }
 
-  /** Overhead bytes: bit string + prefix sums + block bases. The static
-    * popcount map is excluded: one map per `c` is shared by every index in
-    * the process, so charging it to each column would count it many times.
+  /** Allocated bytes of the bit string, prefix sums and block bases. The
+    * static popcount map is excluded: one map per `c` is shared by every
+    * index in the process, so charging it to each column would count it
+    * many times.
     */
-  def bytes: Long = {
-    val bitStringBytes = (n.toLong + 7) / 8
-    val prefixBytes = (((n.toLong + c - 1) / c) * m + 7) / 8
-    val baseBytes = blockBases.length.toLong * 8
-    bitStringBytes + prefixBytes + baseBytes
-  }
+  def bytes: Long = 8L * (bits.length + prefixSums.length + blockBases.length)
 }
 
 object JacobsonIndex {
@@ -96,43 +96,44 @@ object JacobsonIndex {
     * non-NULL. `c` must be <= 16 (the map grows as 2^c * c); `m` in 8..32.
     */
   def apply(present: Array[Boolean], c: Int = 16, m: Int = 16): JacobsonIndex = {
+    val bits = new Array[Long]((present.length + 63) >>> 6)
+    var p = 0
+    while (p < present.length) { if (present(p)) bits(p >>> 6) |= 1L << (p & 63); p += 1 }
+    fromBits(bits, present.length, c, m)
+  }
+
+  /** Build the index over the first `n` bits of `bits` (bit p of word p/64
+    * set when position p is non-NULL). The index keeps `bits` as its bit
+    * string.
+    */
+  def fromBits(bits: Array[Long], n: Int, c: Int, m: Int): JacobsonIndex = {
     require(c >= 1 && c <= 16, s"c=$c out of range (map would be 2^c*c bytes)")
     require(m >= 1 && m <= 32, s"m=$m out of range")
-    require((1L << m) % c == 0, s"chunk size c=$c must divide block size 2^$m")
-    val n = present.length
-    val nChunks = (n + c - 1) / c
-    val chunks = new Array[Int](math.max(1, nChunks))
-    val psBits = nChunks.toLong * m
-    val prefixSums = new Array[Long](((psBits + 63) / 64).toInt + 1)
+    // c divides 2^m iff c is a power of two <= 2^m; rank's shifts need the former.
+    require(Integer.bitCount(c) == 1 && c <= (1L << m), s"chunk size c=$c must divide block size 2^$m")
+    require(bits.length == (n + 63) >>> 6, s"${bits.length} words for $n bits")
+    val logC = Integer.numberOfTrailingZeros(c)
+    val nChunks = (n + c - 1) >>> logC
+    val prefixSums = new Array[Long](((nChunks.toLong * m + 63) >>> 6).toInt)
     val blockSize = 1L << m
-    val nBlocks = ((n.toLong + blockSize - 1) / blockSize).toInt
-    val blockBases = new Array[Long](math.max(1, nBlocks))
+    val blockBases = new Array[Long](((n + blockSize - 1) >>> m).toInt)
 
     var rankTotal = 0L
     var blockRank = 0L
     var chunkIdx = 0
     while (chunkIdx < nChunks) {
-      val chunkStart = chunkIdx.toLong * c
+      val chunkStart = chunkIdx.toLong << logC
       if ((chunkStart & (blockSize - 1)) == 0) {
         blockBases((chunkStart >>> m).toInt) = rankTotal
         blockRank = 0L
       }
       writePrefixSum(prefixSums, chunkIdx, m, blockRank)
-      var bits = 0
-      var i = 0
-      while (i < c) {
-        val p = chunkIdx * c + i
-        if (p < n && present(p)) {
-          bits |= 1 << i
-          rankTotal += 1
-          blockRank += 1
-        }
-        i += 1
-      }
-      chunks(chunkIdx) = bits
+      val ones = java.lang.Long.bitCount((bits((chunkStart >>> 6).toInt) >>> (chunkStart & 63)) & ((1L << c) - 1))
+      rankTotal += ones
+      blockRank += ones
       chunkIdx += 1
     }
-    new JacobsonIndex(c, m, n, chunks, prefixSums, blockBases, popcountMap(c))
+    new JacobsonIndex(c, m, n, bits, prefixSums, blockBases, popcountMap(c))
   }
 
   private def writePrefixSum(ps: Array[Long], chunkIdx: Int, m: Int, value: Long): Unit = {

@@ -65,4 +65,11 @@ object StorageConfig {
     * NULL-compressed (§5.3).
     */
   final val NullFraction = 0.05
+
+  /** The one §5.3 threshold rule, for NULL column values and empty
+    * adjacency lists alike: NULL-compress when more than `threshold` of the
+    * `n` entries are NULL.
+    */
+  def aboveNullFraction(nulls: Int, n: Int, threshold: Double = NullFraction): Boolean =
+    n > 0 && nulls.toDouble / n > threshold
 }

@@ -1,6 +1,7 @@
 package repro.storage
 
-import repro.compress.JacobsonIndex
+import repro.compress.{JacobsonIndex, NullSplit}
+import repro.core.{StorageConfig, Values}
 import repro.util.ByteWidthArray
 
 /** Offset level of a 2-level CSR (paper Fig. 3), optionally NULL-compressed:
@@ -24,8 +25,12 @@ final class PlainOffsets(off: ByteWidthArray) extends CsrOffsets {
   def bytes: Long = off.bytes
 }
 
+/** `idx` covers positions 0..n: the list starts, NULL for an empty list,
+  * then the total, which is never NULL, so `end(v)` of a non-empty list is
+  * always the next packed entry.
+  */
 final class CompressedOffsets(idx: JacobsonIndex, starts: ByteWidthArray) extends CsrOffsets {
-  def numVertices: Int = idx.length
+  def numVertices: Int = idx.length - 1
   def start(v: Int): Int = starts.get(idx.rank(v).toInt).toInt
   def end(v: Int): Int = starts.get(idx.rank(v).toInt + 1).toInt
   def isEmptyList(v: Int): Boolean = !idx.isSet(v)
@@ -76,35 +81,24 @@ object CsrAdjacency {
   def buildOffsets(listLens: Array[Int], suppress: Boolean, nullCompress: Boolean,
                    threshold: Double, c: Int, m: Int): CsrOffsets = {
     val n = listLens.length
+    val off = new Array[Long](n + 1)
     var empties = 0
+    var acc = 0L
     var i = 0
-    while (i < n) { if (listLens(i) == 0) empties += 1; i += 1 }
-    val emptyFrac = if (n == 0) 0.0 else empties.toDouble / n
-    if (nullCompress && emptyFrac > threshold) {
-      val present = new Array[Boolean](n)
-      var nonEmpty = 0
-      i = 0
-      while (i < n) { if (listLens(i) > 0) { present(i) = true; nonEmpty += 1 }; i += 1 }
-      val starts = new Array[Long](nonEmpty + 1)
-      var acc = 0L
-      var j = 0
-      i = 0
-      while (i < n) {
-        if (present(i)) { starts(j) = acc; j += 1 }
-        acc += listLens(i)
-        i += 1
-      }
-      starts(nonEmpty) = acc
-      val enc = ByteWidthArray(starts, suppress)
-      new CompressedOffsets(JacobsonIndex(present, c, m), enc)
-    } else {
-      val off = new Array[Long](n + 1)
-      var acc = 0L
-      i = 0
-      while (i < n) { off(i) = acc; acc += listLens(i); i += 1 }
-      off(n) = acc
-      val enc = ByteWidthArray(off, suppress)
-      new PlainOffsets(enc)
+    while (i < n) {
+      if (listLens(i) == 0) empties += 1
+      off(i) = acc
+      acc += listLens(i)
+      i += 1
     }
+    off(n) = acc
+    if (nullCompress && StorageConfig.aboveNullFraction(empties, n, threshold)) {
+      // An empty list is a NULL start; the total stays as entry n, never NULL.
+      i = 0
+      while (i < n) { if (listLens(i) == 0) off(i) = Values.Null; i += 1 }
+      val split = NullSplit(off)
+      new CompressedOffsets(JacobsonIndex.fromBits(split.bits, split.n, c, m),
+        ByteWidthArray(split.values, suppress))
+    } else new PlainOffsets(ByteWidthArray(off, suppress))
   }
 }

@@ -59,8 +59,7 @@ object VColumn {
       }
       i += 1
     }
-    val nullFrac = if (dense.length == 0) 0.0 else nulls.toDouble / dense.length
-    if (nullCompress && nullFrac > StorageConfig.NullFraction) {
+    if (nullCompress && StorageConfig.aboveNullFraction(nulls, dense.length)) {
       new CompressedVColumn(NullCompressedColumn(dense, StorageConfig.RankC, StorageConfig.RankM, suppress))
     } else {
       // Sentinel = max+1 keeps NULLs representable inside the fixed width.

@@ -1,6 +1,9 @@
 package repro.compress
 
+import java.lang.reflect.{Array => JArray, Modifier}
+
 import repro.SparkSpec
+import repro.util.ByteWidthArray
 
 class JacobsonIndexSpec extends SparkSpec {
 
@@ -19,7 +22,8 @@ class JacobsonIndexSpec extends SparkSpec {
 
   for {
     density <- Seq(0.0, 0.01, 0.1, 0.5, 0.9, 1.0)
-    n <- Seq(0, 1, 15, 16, 17, 1000, 70000) // spans chunk and 64K-block boundaries
+    // spans chunk, 64-bit word and 64K-block boundaries
+    n <- Seq(0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000, 70000)
   } test(f"rank matches reference at density=$density n=$n (c=16,m=16)") {
     val present = randomPresent(n, density, seed = n + (density * 100).toInt)
     val idx = JacobsonIndex(present)
@@ -33,7 +37,7 @@ class JacobsonIndexSpec extends SparkSpec {
   }
 
   for {
-    c <- Seq(8, 16)
+    c <- Seq(4, 8, 16)
     m <- Seq(8, 16, 24, 32)
   } test(s"rank matches reference for (c=$c, m=$m)") {
     // n > 2^m for m=8 exercises multiple prefix-sum blocks.
@@ -62,6 +66,45 @@ class JacobsonIndexSpec extends SparkSpec {
     val bitsPerElem = idx.bytes * 8.0 / n
     // 1 bit (bit string) + 1 bit (m/c prefix sums) + small block-base cost.
     assert(bitsPerElem >= 2.0 && bitsPerElem < 2.2, s"bits/elem = $bitsPerElem")
+  }
+
+  /** Allocated bytes of the primitive arrays `obj` holds, following fields
+    * into the index and value arrays it owns. The popcount map is shared by
+    * every index with the same c, so no index is charged for it.
+    */
+  private def allocatedBytes(obj: AnyRef): Long =
+    obj.getClass.getDeclaredFields.iterator
+      .filterNot(f => Modifier.isStatic(f.getModifiers))
+      .map { f =>
+        f.setAccessible(true)
+        val t = f.getType
+        f.get(obj) match {
+          case null => 0L
+          case a if t.isArray && t.getComponentType.isPrimitive =>
+            JArray.getLength(a).toLong * elemBytes(t.getComponentType)
+          case x: JacobsonIndex => allocatedBytes(x)
+          case x: ByteWidthArray => allocatedBytes(x)
+          case _ => 0L // scalars, and the shared JacobsonIndex.PopcountMap
+        }
+      }.sum
+
+  private def elemBytes(t: Class[_]): Int =
+    if (t == java.lang.Long.TYPE || t == java.lang.Double.TYPE) 8
+    else if (t == java.lang.Integer.TYPE || t == java.lang.Float.TYPE) 4
+    else if (t == java.lang.Short.TYPE || t == java.lang.Character.TYPE) 2
+    else 1
+
+  for (c <- Seq(8, 16)) test(s"reported bytes equal allocated bytes at c=$c") {
+    val n = 1 << 20
+    val present = randomPresent(n, 0.5, seed = c)
+    val idx = JacobsonIndex(present, c, 16)
+    assert(math.abs(idx.bytes - allocatedBytes(idx)) <= 64,
+      s"index reports ${idx.bytes} B, allocates ${allocatedBytes(idx)} B")
+    val dense = Array.tabulate(n)(p => if (present(p)) p.toLong else NullCompressedColumn.Null)
+    val col = NullCompressedColumn(dense, c, 16)
+    assert(col.bytes == col.indexBytes + ByteWidthArray(dense.filter(_ != NullCompressedColumn.Null)).bytes)
+    assert(math.abs(col.bytes - allocatedBytes(col)) <= 64,
+      s"column reports ${col.bytes} B, allocates ${allocatedBytes(col)} B")
   }
 
   test("static map size is 1MB at c=16 (paper §5.3)") {

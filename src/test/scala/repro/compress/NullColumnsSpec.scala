@@ -10,7 +10,7 @@ class NullColumnsSpec extends SparkSpec {
     Array.fill(n)(if (rnd.nextDouble() < nullFrac) Values.Null else rnd.nextInt(1 << 20).toLong)
   }
 
-  for (nullFrac <- Seq(0.0, 0.1, 0.5, 0.9, 1.0); n <- Seq(0, 1, 100, 70000)) {
+  for (nullFrac <- Seq(0.0, 0.1, 0.5, 0.9, 1.0); n <- Seq(0, 1, 63, 64, 65, 100, 127, 128, 129, 70000)) {
     test(f"NullCompressedColumn round-trips at nullFrac=$nullFrac n=$n") {
       val dense = randomDense(n, nullFrac, seed = n + (nullFrac * 10).toInt)
       val col = NullCompressedColumn(dense)

@@ -36,6 +36,12 @@ class CsrSpec extends SparkSpec {
     val sparse = CsrAdjacency.buildOffsets(lensOf(1000, 0.5, 2), suppress = true,
       nullCompress = true, threshold = 0.05, c = 16, m = 16)
     assert(sparse.isInstanceOf[CompressedOffsets])
+    // The boundary: exactly 5% empty lists stays plain, one more compresses.
+    def firstEmpty(empties: Int) = Array.tabulate(1000)(v => if (v < empties) 0 else 1 + v % 3)
+    assert(CsrAdjacency.buildOffsets(firstEmpty(50), suppress = true,
+      nullCompress = true, threshold = 0.05, c = 16, m = 16).isInstanceOf[PlainOffsets])
+    assert(CsrAdjacency.buildOffsets(firstEmpty(51), suppress = true,
+      nullCompress = true, threshold = 0.05, c = 16, m = 16).isInstanceOf[CompressedOffsets])
   }
 
   test("compressed offsets save memory on half-empty lists (Table 4 claim)") {

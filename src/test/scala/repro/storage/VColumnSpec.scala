@@ -25,6 +25,10 @@ class VColumnSpec extends SparkSpec {
       .isInstanceOf[PlainVColumn])
     assert(VColumn(dense(1000, 0.5, 100, 2), suppress = true, nullCompress = true)
       .isInstanceOf[CompressedVColumn])
+    // The boundary: exactly 5% NULLs stays plain, one more compresses.
+    def firstNull(nulls: Int) = Array.tabulate(1000)(i => if (i < nulls) Values.Null else i.toLong)
+    assert(VColumn(firstNull(50), suppress = true, nullCompress = true).isInstanceOf[PlainVColumn])
+    assert(VColumn(firstNull(51), suppress = true, nullCompress = true).isInstanceOf[CompressedVColumn])
   }
 
   test("sentinel stays inside the suppressed width (255 values + NULL fits 1 byte)") {
