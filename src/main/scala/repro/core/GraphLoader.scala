@@ -112,20 +112,14 @@ object GraphLoader {
     val nv = schema.vertices.length
     val ne = schema.edges.length
 
-    // ---- vertex properties ----
-    val vertexCols = if (config.columnar) new Array[ColumnSet](nv) else null
-    val vertexRows = if (!config.columnar) new Array[RowStore](nv) else null
-    for (li <- 0 until nv) {
-      val vdef = schema.vertices(li)
-      val n = g.vertexCounts(li)
-      if (config.columnar) vertexCols(li) = buildColumnSet(vdef.props, g.vertexProps(li), n, config)
-      else vertexRows(li) = buildRowStore(vdef.props, g.vertexProps(li), n)
+    val vertexProps = Array.tabulate[PropertyStore](nv) { li =>
+      buildProps(schema.vertices(li).props, g.vertexProps(li), g.vertexCounts(li), config)
     }
 
     // ---- edges ----
     val fwdAdj = new Array[Adjacency](ne)
     val bwdAdj = new Array[Adjacency](ne)
-    val edgePropStores = new Array[EdgePropAccessor](ne)
+    val edgePropStores = new Array[EdgeProps](ne)
     val edgeCounts = new Array[Int](ne)
 
     for (ei <- 0 until ne) {
@@ -152,50 +146,49 @@ object GraphLoader {
         if (config.edgeColumns) scatterProps(edef.props, g.edgeProps(ei), nE, nE, randIds(_).toInt)
         else g.edgeProps(ei)
 
-      def ownerColumns: EdgePropAccessor = {
+      def ownerColumns: EdgeProps = {
         val ownerIsSrc = edef.card.singleFwd
         val nOwn = if (ownerIsSrc) nSrc else nDst
         val ownOf: Int => Int = if (ownerIsSrc) src(_) else dst(_)
         val scattered = scatterProps(edef.props, g.edgeProps(ei), nE, nOwn, ownOf)
-        new VColOwnerEdgeProps(ownerIsSrc, buildColumnSet(edef.props, scattered, nOwn, config))
+        new VColOwnerEdgeProps(ownerIsSrc, buildProps(edef.props, scattered, nOwn, config))
       }
 
-      def propertyPages: EdgePropAccessor = {
+      def propertyPages: EdgeProps = {
         // Slot order == forward list order.
         val slotOf = new Array[Int](nE)
         var i = 0
         while (i < nE) { slotOf(fwdOrder(i)) = i; i += 1 }
         val scattered = scatterProps(edef.props, g.edgeProps(ei), nE, nE, slotOf(_))
         val bases = PropertyPages.buildBases(lensF, StorageConfig.ListsPerPage, suppress = config.zeroSuppress)
-        new PropertyPages(StorageConfig.ListsPerPage, bases, buildColumnSet(edef.props, scattered, nE, config))
+        new PropertyPages(StorageConfig.ListsPerPage, bases, buildProps(edef.props, scattered, nE, config))
       }
 
       // The edge layout (paper §4.2, Fig. 6), decided once per label: the
       // value each edge's list entries store in both directions (null when
-      // the decision tree factors it out) and the property store it indexes.
-      // Old IDs index rows (GF-RV) or edge columns (+COLS, and COL_E at any
-      // step); new IDs are page-level offsets into property pages, or are
-      // omitted for property-less labels and owner-column properties.
-      val (edgeVal, props): (Int => Long, EdgePropAccessor) =
-        if (!config.columnar)
-          // GF-RV: one interpreted-layout record (and pointer) per edge,
-          // even for property-less labels.
-          (globalId, new RowEdgeProps(buildRowStore(edef.props, propsByGlobalId, nE)))
-        else if (!edef.hasProps || singleFwdAsCol || singleBwdAsCol)
+      // the decision tree factors it out) and the edge-ID rule over the
+      // label's property store (whose format buildProps picks). Old IDs
+      // index a global-ID store (GF-RV, +COLS, and COL_E at any step); new
+      // IDs are page-level offsets into property pages, or are omitted for
+      // property-less labels and owner-column properties. A property-less
+      // label has no columns, but rows (GF-RV) keep a record per edge.
+      val (edgeVal, props): (Int => Long, EdgeProps) =
+        if ((config.columnar && !edef.hasProps) || singleFwdAsCol || singleBwdAsCol)
           (if (config.newIds) null else globalId, if (edef.hasProps) ownerColumns else NoEdgeProps)
         else if (!config.newIds || config.edgeColumns)
-          (globalId, new EdgeColumnStore(buildColumnSet(edef.props, propsByGlobalId, nE, config)))
+          (globalId, new GlobalIdEdgeProps(buildProps(edef.props, propsByGlobalId, nE, config)))
         else { val pagePos = pagePositions(src, fwdOrder); (pagePos(_), propertyPages) }
       edgePropStores(ei) = props
 
       def buildCsr(order: Array[Int], lens: Array[Int], nbrOf: Int => Long, maxNbr: Long): CsrAdjacency = {
         val nbrs = new Array[Long](nE)
+        val evs = if (edgeVal == null) null else new Array[Long](nE)
         var i = 0
-        while (i < nE) { nbrs(i) = nbrOf(order(i)); i += 1 }
+        while (i < nE) { val e = order(i); nbrs(i) = nbrOf(e); if (evs != null) evs(i) = edgeVal(e); i += 1 }
         val offsets = CsrAdjacency.buildOffsets(lens, suppress = config.zeroSuppress,
           nullCompress = config.nullCompress, threshold = StorageConfig.NullFraction,
           c = StorageConfig.RankC, m = StorageConfig.RankM)
-        val vals = if (edgeVal == null) null else ByteWidthArray(order.map(edgeVal), config.zeroSuppress)
+        val vals = if (evs == null) null else ByteWidthArray(evs, config.zeroSuppress)
         new CsrAdjacency(offsets, ByteWidthArray.at(nbrs, ByteWidthArray.widthFor(maxNbr, config.zeroSuppress)), vals)
       }
 
@@ -220,7 +213,8 @@ object GraphLoader {
     }
 
     new GraphStore(schema, config, g.vertexCounts.clone(), edgeCounts,
-      vertexCols, vertexRows, fwdAdj, bwdAdj, edgePropStores)
+      if (config.columnar) vertexProps else null, if (config.columnar) null else vertexProps,
+      fwdAdj, bwdAdj, edgePropStores)
   }
 
   // ---- helpers ----
@@ -296,6 +290,13 @@ object GraphLoader {
       }
     }.toArray
   }
+
+  /** The property store of one entity domain in the config's format:
+    * interpreted rows under GF-RV, columns from +COLS on.
+    */
+  private def buildProps(defs: IndexedSeq[PropertyDef], props: Array[AnyRef],
+                         n: Int, config: StorageConfig): PropertyStore =
+    if (config.columnar) buildColumnSet(defs, props, n, config) else buildRowStore(defs, props, n)
 
   /** Build a dictionary-encoded, optionally compressed column set. */
   private def buildColumnSet(defs: IndexedSeq[PropertyDef], props: Array[AnyRef],

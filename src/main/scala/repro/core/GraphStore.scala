@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.compress.Dictionary
 import repro.storage._
 
 /** In-memory graph database instance under one [[StorageConfig]].
@@ -15,11 +14,11 @@ final class GraphStore(
     val config: StorageConfig,
     val vertexCounts: Array[Int],
     val edgeCounts: Array[Int],
-    vertexCols: Array[ColumnSet], // per vertex label; null when row storage
-    vertexRows: Array[RowStore],  // per vertex label; null when columnar
-    fwdAdj: Array[Adjacency],     // per edge label
+    vertexCols: Array[PropertyStore], // per vertex label: ColumnSets; null under row storage
+    vertexRows: Array[PropertyStore], // per vertex label: RowStores; null when columnar
+    fwdAdj: Array[Adjacency],         // per edge label
     bwdAdj: Array[Adjacency],
-    val edgeProps: Array[EdgePropAccessor]
+    val edgeProps: Array[EdgeProps]
 ) extends Serializable {
 
   def columnar: Boolean = config.columnar
@@ -27,37 +26,19 @@ final class GraphStore(
   def adjacency(edgeLabel: Int, forward: Boolean): Adjacency =
     if (forward) fwdAdj(edgeLabel) else bwdAdj(edgeLabel)
 
-  /** Numeric value or dictionary code of a vertex property; Values.Null if
-    * NULL. For string properties under row storage use `vertexString`.
-    */
-  def vertexLong(label: Int, v: Int, prop: Int): Long =
-    if (columnar) vertexCols(label).get(v, prop)
-    else vertexRows(label).readLong(v, prop)
+  // Two fields, one of them null, because perfbench's HeapWalker finds the
+  // vertex component by these names.
+  private def vertexStores: Array[PropertyStore] = if (vertexCols != null) vertexCols else vertexRows
 
-  /** Offset-to-value accessor with the column bound once (vectorized
-    * filter path; falls back to the key-scan on row storage).
-    */
-  def vertexLongReader(label: Int, prop: Int): Long => Long =
-    if (columnar) {
-      val col = vertexCols(label).cols(prop)
-      off => col.get(off.toInt)
-    } else {
-      val rows = vertexRows(label)
-      off => rows.readLong(off.toInt, prop)
-    }
+  /** The properties of the vertices of `label`, indexed by offset. */
+  def vertexProps(label: Int): PropertyStore = vertexStores(label)
 
-  def vertexString(label: Int, v: Int, prop: Int): String =
-    if (columnar) vertexCols(label).getString(v, prop)
-    else vertexRows(label).readString(v, prop)
-
-  /** Dictionary of a string vertex property; null under row storage. */
-  def vertexDict(label: Int, prop: Int): Dictionary =
-    if (columnar) vertexCols(label).dicts(prop) else null
+  def vertexLong(label: Int, v: Int, prop: Int): Long = vertexProps(label).getLong(v, prop)
+  def vertexString(label: Int, v: Int, prop: Int): String = vertexProps(label).getString(v, prop)
 
   // ---- memory accounting (Table 2 components) ----
 
-  def vertexPropBytes: Long =
-    if (columnar) vertexCols.map(_.bytes).sum else vertexRows.map(_.bytes).sum
+  def vertexPropBytes: Long = vertexStores.map(_.bytes).sum
 
   def edgePropBytes: Long = edgeProps.map(_.bytes).sum
 

@@ -2,7 +2,7 @@ package repro.engine
 
 import repro.core.{GraphStore, Values}
 import repro.query._
-import repro.storage.{CsrAdjacency, EdgeColumnStore, PropertyPages, SingleAdjacency, VColOwnerEdgeProps}
+import repro.storage.{CsrAdjacency, GlobalIdEdgeProps, PropertyPages, SingleAdjacency, VColOwnerEdgeProps}
 import repro.util.ByteWidthArray
 
 /** List-based processor — LBP (paper §6). Intermediate tuples are a set of
@@ -263,7 +263,7 @@ object Lbp {
       case pages: PropertyPages =>
         if (step.forward) new BasedSliceReader(pages, adj.edgeVals)
         else new BwdPageHandleReader(pages, adj.edgeVals, adj.nbrs)
-      case _: EdgeColumnStore => new SliceReader(adj.edgeVals)
+      case _: GlobalIdEdgeProps => new SliceReader(adj.edgeVals)
       case owner: VColOwnerEdgeProps =>
         // Lists run away from the single-cardinality owner: the handle is the neighbour.
         require(owner.ownerIsSrc != step.forward, "owner-column properties behind an owner-side CSR")

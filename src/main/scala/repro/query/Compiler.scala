@@ -2,7 +2,7 @@ package repro.query
 
 import repro.compress.Dictionary
 import repro.core.{GraphStore, Values}
-import repro.storage.{Adjacency, EdgePropAccessor, SingleAdjacency}
+import repro.storage.{Adjacency, EdgeProps, PropertyStore, SingleAdjacency}
 
 /** Read context handed to compiled predicates: engines expose the current
   * binding of each vertex slot (a positional offset) and each edge slot
@@ -60,10 +60,10 @@ final class CodeSetPred(val lhs: OperandRef, val codes: Array[Long]) extends Com
 /** A [[StrTest]] on decoded strings, per tuple — row storage only, where
   * strings are stored raw: the decode cost GF-RV pays.
   */
-final class RowStrPred(isEdge: Boolean, slot: Int, str: Long => String,
+final class RowStrPred(isEdge: Boolean, slot: Int, props: PropertyStore, propIdx: Int,
                        test: String => Boolean) extends CompiledPred {
   def eval(ctx: ReadCtx): Boolean = {
-    val x = str(if (isEdge) ctx.e(slot) else ctx.v(slot))
+    val x = props.getString((if (isEdge) ctx.e(slot) else ctx.v(slot)).toInt, propIdx)
     x != null && test(x)
   }
 }
@@ -86,7 +86,7 @@ final case class ExtendStep(
     toSlot: Int,
     eSlot: Int,
     adj: Adjacency,
-    props: EdgePropAccessor,
+    props: EdgeProps,
     single: Boolean,
     preds: Array[CompiledPred]
 ) extends PlanStep
@@ -163,26 +163,29 @@ private final class PredCompiler(q: Query, store: GraphStore,
                                  vSlot: Map[String, Int], eSlot: Map[String, Int]) {
   private val schema = store.schema
 
-  /** Resolve an operand's property to the store: `vertex(label, propIdx)`
-    * or `edge(edge property accessor, propIdx)`.
+  /** Resolve an operand to the property store its slot value indexes (a
+    * vertex label's, or the one behind an edge label's handles) and the
+    * property's index in it.
     */
-  private def resolve[A](o: Operand)(vertex: (Int, Int) => A,
-                                     edge: (EdgePropAccessor, Int) => A): A = o match {
+  private def resolve(o: Operand): (PropertyStore, Int) = o match {
     case VProp(v, prop) =>
       val label = schema.vertexIdx(q.varByName(v).label)
-      vertex(label, schema.vertices(label).propIdx(prop))
+      (store.vertexProps(label), schema.vertices(label).propIdx(prop))
     case EProp(a, prop) =>
       val el = schema.edgeIdx(q.edgeByAlias(a).label)
-      edge(store.edgeProps(el), schema.edges(el).propIdx(prop))
+      (store.edgeProps(el).store, schema.edges(el).propIdx(prop))
   }
 
   private def slotOf(o: Operand): Int = if (o.isEdge) eSlot(o.varName) else vSlot(o.varName)
 
-  private def ref(o: Operand): OperandRef =
-    new OperandRef(o.isEdge, slotOf(o), resolve(o)(store.vertexLongReader, _.longReader(_)))
+  private def ref(o: Operand): OperandRef = {
+    val (props, pi) = resolve(o)
+    new OperandRef(o.isEdge, slotOf(o), props.reader(pi))
+  }
 
   private def dictOf(o: Operand): Dictionary = {
-    val d = resolve(o)(store.vertexDict, _.dict(_))
+    val (props, pi) = resolve(o)
+    val d = props.dict(pi)
     require(d != null, s"${q.name}: string predicate on non-string property $o")
     d
   }
@@ -191,11 +194,8 @@ private final class PredCompiler(q: Query, store: GraphStore,
     case CmpConst(l, op, c) => new CmpPred(ref(l), op, null, c)
     case CmpProps(l, op, r) => new CmpPred(ref(l), op, ref(r), 0L)
     case StrPred(l, test) if !store.columnar =>
-      val rows = store // the reader captures the store, not this compiler
-      val str = resolve(l)(
-        (label, pi) => (off: Long) => rows.vertexString(label, off.toInt, pi),
-        (props, pi) => (h: Long) => props.getString(h, pi))
-      new RowStrPred(l.isEdge, slotOf(l), str, test.matches)
+      val (props, pi) = resolve(l)
+      new RowStrPred(l.isEdge, slotOf(l), props, pi, test.matches)
     case StrPred(l, test) =>
       // The constant side becomes one code or a sorted code set, once.
       val dict = dictOf(l)

@@ -1,45 +1,29 @@
 package repro.storage
 
-import repro.compress.Dictionary
 import repro.util.ByteWidthArray
 
-/** Access to the properties of one edge label, independent of how they are
-  * stored. During a join the engine resolves a constant-time ''handle'' from
-  * what the adjacency list provides; subsequent property reads use the
-  * handle only.
-  *
-  * @param own the vertex being extended from
-  * @param nbr the neighbour produced by the adjacency list
-  * @param ev  the per-edge value stored in the adjacency list (page-level
-  *            positional offset, global edge ID, or 0 when omitted)
-  * @param forward whether the traversal used the forward adjacency index
+/** The properties of one edge label: a [[PropertyStore]] in either format
+  * (rows or columns) plus the label's edge-ID rule, which turns what an
+  * adjacency list provides into an entity of that store — the ''handle''.
+  * During a join the engine resolves the handle in constant time;
+  * subsequent property reads use the handle only.
   */
-trait EdgePropAccessor extends Serializable {
-  def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long
-  def getLong(handle: Long, propIdx: Int): Long
+sealed abstract class EdgeProps extends Serializable {
 
-  /** Handle-to-value accessor with the property column bound once — the
-    * per-element path vectorized filters use (stores override to skip
-    * dispatch layers).
+  /** The rows or columns the handles index. */
+  def store: PropertyStore
+
+  /** @param own the vertex being extended from
+    * @param nbr the neighbour produced by the adjacency list
+    * @param ev  the per-edge value stored in the adjacency list (page-level
+    *            positional offset, global edge ID, or 0 when omitted)
+    * @param forward whether the traversal used the forward adjacency index
     */
-  def longReader(propIdx: Int): Long => Long = h => getLong(h, propIdx)
-  def getString(handle: Long, propIdx: Int): String
-  def dict(propIdx: Int): Dictionary
-  def bytes: Long
-}
+  def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long
 
-/** An edge-property store whose values live in one [[ColumnSet]] indexed
-  * by the handle. Each store states only its handle rule.
-  */
-sealed abstract class ColumnEdgeProps(columns: ColumnSet) extends EdgePropAccessor {
-  final def getLong(handle: Long, propIdx: Int): Long = columns.get(handle.toInt, propIdx)
-  final def getString(handle: Long, propIdx: Int): String = columns.getString(handle.toInt, propIdx)
-  final override def longReader(propIdx: Int): Long => Long = {
-    val col = columns.cols(propIdx)
-    h => col.get(h.toInt)
-  }
-  final def dict(propIdx: Int): Dictionary = columns.dicts(propIdx)
-  def bytes: Long = columns.bytes
+  final def getLong(handle: Long, p: Int): Long = store.getLong(handle.toInt, p)
+  final def getString(handle: Long, p: Int): String = store.getString(handle.toInt, p)
+  def bytes: Long = store.bytes
 }
 
 /** Single-indexed edge property pages (paper §4.2, Fig. 5): the properties
@@ -52,8 +36,8 @@ sealed abstract class ColumnEdgeProps(columns: ColumnSet) extends EdgePropAccess
 final class PropertyPages(
     val k: Int,
     pageBases: ByteWidthArray, // numPages + 1
-    columns: ColumnSet
-) extends ColumnEdgeProps(columns) {
+    val store: PropertyStore
+) extends EdgeProps {
   // src / k as a shift when k is a power of two (the default 128 is) —
   // a hardware divide per property read would dominate the lookup.
   private val kShift: Int = if (Integer.bitCount(k) == 1) Integer.numberOfTrailingZeros(k) else -1
@@ -75,12 +59,13 @@ final class PropertyPages(
   @inline def pageBase(src: Long): Long = pageBases.get(pageOf(src))
 }
 
-/** Edge columns indexed by a global edge ID (the paper's pre-NEW-IDS
-  * design, §4.2): the ID is the edge's insertion position, or a random
-  * permutation of it for Table 3's COL_E, so neither direction reads
-  * sequentially.
+/** Edge properties indexed by a global edge ID (the paper's pre-NEW-IDS
+  * design, §4.2): the handle is the ID the list stores, i.e. the edge's
+  * insertion position, or a random permutation of it for Table 3's COL_E,
+  * so neither direction reads sequentially. GF-RV keeps rows behind it,
+  * +COLS and COL_E keep edge columns.
   */
-final class EdgeColumnStore(columns: ColumnSet) extends ColumnEdgeProps(columns) {
+final class GlobalIdEdgeProps(val store: PropertyStore) extends EdgeProps {
   def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long = ev
 }
 
@@ -88,20 +73,16 @@ final class EdgeColumnStore(columns: ColumnSet) extends ColumnEdgeProps(columns)
   * the owning endpoint (paper §4.1.2, Table 1): src when n-1, dst when 1-n.
   * The handle is the owner's positional offset — no indirection at all.
   */
-final class VColOwnerEdgeProps(val ownerIsSrc: Boolean, columns: ColumnSet) extends ColumnEdgeProps(columns) {
+final class VColOwnerEdgeProps(val ownerIsSrc: Boolean, val store: PropertyStore) extends EdgeProps {
   def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long =
     if (ownerIsSrc == forward) own else nbr
 }
 
-/** No properties on this label. */
-object NoEdgeProps extends EdgePropAccessor {
+/** No properties on this label: every read is refused. */
+object NoEdgeProps extends EdgeProps {
+  def store: PropertyStore = throw new IllegalStateException("label has no edge properties")
   def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long = 0L
-  def getLong(handle: Long, propIdx: Int): Long =
-    throw new IllegalStateException("label has no edge properties")
-  def getString(handle: Long, propIdx: Int): String =
-    throw new IllegalStateException("label has no edge properties")
-  def dict(propIdx: Int): Dictionary = null
-  def bytes: Long = 0L
+  override def bytes: Long = 0L
 }
 
 object PropertyPages {

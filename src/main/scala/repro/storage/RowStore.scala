@@ -9,14 +9,12 @@ import repro.core.Values
   * GF-RV keeps a pointer per edge even when the label has no properties.
   * Property reads scan the record comparing keys; strings are raw bytes.
   */
-final class RowStore(heap: Array[Byte], ptrs: Array[Long]) extends Serializable {
-
-  def numEntities: Int = ptrs.length
+final class RowStore(heap: Array[Byte], ptrs: Array[Long]) extends PropertyStore {
 
   /** Numeric property `key` of `entity`, or [[Values.Null]]. Linear in the
     * record length — the key-scan cost the paper's columns eliminate.
     */
-  def readLong(entity: Int, key: Int): Long = {
+  def getLong(entity: Int, key: Int): Long = {
     var p = ptrs(entity).toInt
     val nProps = heap(p) & 0xff
     p += 1
@@ -29,7 +27,7 @@ final class RowStore(heap: Array[Byte], ptrs: Array[Long]) extends Serializable 
         return t match {
           case RowStore.TInt  => readInt(p).toLong
           case RowStore.TLong => readLong8(p)
-          case _              => Values.Null // string read via readString
+          case _              => Values.Null // string read via getString
         }
       }
       p += RowStore.valueLen(t, heap, p)
@@ -38,7 +36,7 @@ final class RowStore(heap: Array[Byte], ptrs: Array[Long]) extends Serializable 
     Values.Null
   }
 
-  def readString(entity: Int, key: Int): String = {
+  def getString(entity: Int, key: Int): String = {
     var p = ptrs(entity).toInt
     val nProps = heap(p) & 0xff
     p += 1
@@ -62,6 +60,11 @@ final class RowStore(heap: Array[Byte], ptrs: Array[Long]) extends Serializable 
 
   private def readLong8(p: Int): Long =
     (readInt(p).toLong << 32) | (readInt(p + 4).toLong & 0xffffffffL)
+
+  def reader(key: Int): Long => Long = h => getLong(h.toInt, key)
+
+  /** Rows store strings raw: no dictionary. */
+  def dict(key: Int): Dictionary = null
 
   def bytes: Long = heap.length.toLong + ptrs.length.toLong * 8
 }
@@ -138,15 +141,4 @@ object RowStore {
       new RowStore(out.toByteArray, ptrs)
     }
   }
-}
-
-/** Row-oriented edge property store for GF-RV: handles are global edge IDs
-  * into an interpreted-attribute-layout [[RowStore]].
-  */
-final class RowEdgeProps(rows: RowStore) extends EdgePropAccessor {
-  def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long = ev
-  def getLong(handle: Long, propIdx: Int): Long = rows.readLong(handle.toInt, propIdx)
-  def getString(handle: Long, propIdx: Int): String = rows.readString(handle.toInt, propIdx)
-  def dict(propIdx: Int): Dictionary = null
-  def bytes: Long = rows.bytes
 }

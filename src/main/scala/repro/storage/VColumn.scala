@@ -64,7 +64,8 @@ object VColumn {
     } else {
       // Sentinel = max+1 keeps NULLs representable inside the fixed width.
       val sentinel = if (nulls > 0) max + 1 else -1L
-      val enc = if (nulls > 0) dense.map(x => if (x == Values.Null) sentinel else x) else dense
+      val enc = if (nulls > 0) dense.clone() else dense
+      if (nulls > 0) { i = 0; while (i < enc.length) { if (enc(i) == Values.Null) enc(i) = sentinel; i += 1 } }
       val maxCode = math.max(max, sentinel)
       val width =
         if (fixedWidth > 0) math.max(fixedWidth, ByteWidthArray.widthFor(maxCode))
@@ -79,13 +80,18 @@ object VColumn {
   * an edge-column store).
   */
 final class ColumnSet(
-    val cols: Array[VColumn],
-    val dicts: Array[Dictionary] // null entry for numeric props
-) extends Serializable {
-  def get(entity: Int, propIdx: Int): Long = cols(propIdx).get(entity)
-  def getString(entity: Int, propIdx: Int): String = {
-    val code = cols(propIdx).get(entity)
-    if (code == Values.Null) null else dicts(propIdx).decode(code.toInt)
+    cols: Array[VColumn],
+    dicts: Array[Dictionary] // null entry for numeric props
+) extends PropertyStore {
+  def getLong(entity: Int, p: Int): Long = cols(p).get(entity)
+  def getString(entity: Int, p: Int): String = {
+    val code = cols(p).get(entity)
+    if (code == Values.Null) null else dicts(p).decode(code.toInt)
   }
+  def reader(p: Int): Long => Long = {
+    val col = cols(p)
+    h => col.get(h.toInt)
+  }
+  def dict(p: Int): Dictionary = dicts(p)
   def bytes: Long = cols.map(_.bytes).sum + dicts.iterator.filter(_ != null).map(_.bytes).sum
 }

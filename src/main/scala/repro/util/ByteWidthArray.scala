@@ -81,12 +81,17 @@ object ByteWidthArray {
   /** Encode at an explicit width; used to model uncompressed (8-byte)
     * baselines such as GF-RV's 8-byte IDs.
     */
-  def at(values: Array[Long], width: Int): ByteWidthArray = width match {
-    case 1 => new W1(values.map(_.toByte))
-    case 2 => new W2(values.map(_.toShort))
-    case 4 => new W4(values.map(_.toInt))
-    case 8 => new W8(values.clone())
-    case w => throw new IllegalArgumentException(s"unsupported width $w")
+  def at(values: Array[Long], width: Int): ByteWidthArray = {
+    // Typed copy loops: ArrayOps.map stores each element through its boxed path.
+    val n = values.length
+    var i = 0
+    width match {
+      case 1 => val a = new Array[Byte](n); while (i < n) { a(i) = values(i).toByte; i += 1 }; new W1(a)
+      case 2 => val a = new Array[Short](n); while (i < n) { a(i) = values(i).toShort; i += 1 }; new W2(a)
+      case 4 => val a = new Array[Int](n); while (i < n) { a(i) = values(i).toInt; i += 1 }; new W4(a)
+      case 8 => new W8(values.clone())
+      case w => throw new IllegalArgumentException(s"unsupported width $w")
+    }
   }
 
   val empty: ByteWidthArray = new W1(Array.emptyByteArray)

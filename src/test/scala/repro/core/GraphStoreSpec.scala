@@ -4,7 +4,7 @@ import repro.{SparkSpec, TestFixtures}
 import repro.storage.{CsrAdjacency, SingleAdjacency}
 
 /** Loader/store round-trip invariants across the full configuration ladder,
-  * on the tiny LDBC-lite dataset.
+  * on the tiny LDBC-lite dataset (edge properties on IMDb-lite too).
   */
 class GraphStoreSpec extends SparkSpec {
 
@@ -30,6 +30,54 @@ class GraphStoreSpec extends SparkSpec {
               assert(store.vertexString(li, v, pi) == expect,
                 s"${config.name} ${vdef.name}.${vdef.props(pi).name} at $v")
           }
+        }
+      }
+    }
+  }
+
+  test("edge properties round-trip on every config") {
+    val configs = StorageConfig.ladder ++ Seq(StorageConfig.GFCL.copy(edgeColumns = true),
+      StorageConfig.ZSUPR.copy(singleCardAsCsr = true))
+    def multiset[A](xs: Iterable[A]): Map[A, Int] = xs.groupBy(identity).map { case (k, v) => k -> v.size }
+    for (cg <- Seq(g, TestFixtures.imdbCollected); config <- configs) {
+      val store = TestFixtures.store(cg, config)
+      for (ei <- cg.schema.edges.indices if cg.schema.edges(ei).hasProps) {
+        val edef = cg.schema.edges(ei)
+        val props = store.edgeProps(ei)
+        // Each edge as (src, dst, its property values).
+        val expected = multiset(cg.edgeSrc(ei).indices.map { i =>
+          (cg.edgeSrc(ei)(i), cg.edgeDst(ei)(i), edef.props.indices.map { pi =>
+            cg.edgeProps(ei)(pi) match {
+              case a: Array[Long]   => a(i): Any
+              case a: Array[String] => a(i)
+            }
+          })
+        })
+        for (forward <- Seq(true, false)) {
+          val read = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Seq[Any])]
+          def add(own: Int, nbr: Long, ev: Long): Unit = {
+            val h = props.handle(own, nbr, ev, forward)
+            val values = edef.props.indices.map { pi =>
+              edef.props(pi).ptype match {
+                case PLongT   => props.getLong(h, pi): Any
+                case PStringT => props.getString(h, pi)
+              }
+            }
+            read += (if (forward) (own, nbr.toInt, values) else (nbr.toInt, own, values))
+          }
+          store.adjacency(ei, forward) match {
+            case csr: CsrAdjacency =>
+              for (v <- 0 until csr.numVertices) {
+                val s = csr.start(v)
+                if (s >= 0) for (i <- s until csr.end(v)) add(v, csr.nbr(i), csr.edgeVal(i))
+              }
+            case single: SingleAdjacency =>
+              for (v <- 0 until single.numVertices) {
+                val nbr = single.nbr(v)
+                if (nbr != Values.Null) add(v, nbr, 0L)
+              }
+          }
+          assert(multiset(read) == expected, s"$config ${edef.name} forward=$forward")
         }
       }
     }

@@ -60,11 +60,25 @@ class PropertyPagesSpec extends SparkSpec {
     assert(bases.get(3) == 15)
   }
 
+  // EdgeColumnStore, the +COLS global-ID store, is now GlobalIdEdgeProps; the
+  // same assertions run with columns (+COLS, COL_E) and rows (GF-RV) behind it.
   test("EdgeColumnStore handle is the stored global edge ID") {
-    val col = VColumn(Array(10L, 20L, 30L), suppress = true, nullCompress = false)
-    val store = new EdgeColumnStore(new ColumnSet(Array(col), Array(null)))
-    assert(store.handle(5, 7, 2, forward = true) == 2)
-    assert(store.getLong(2, 0) == 30L)
+    val values = Array(10L, 20L, 30L)
+    val rows = new RowStore.Builder(values.length)
+    values.indices.foreach { i => rows.startRecord(i); rows.addLong(0, values(i), asInt = true) }
+    val col = VColumn(values, suppress = true, nullCompress = false)
+    for (props <- Seq[PropertyStore](new ColumnSet(Array(col), Array(null)), rows.result())) {
+      val store = new GlobalIdEdgeProps(props)
+      assert(store.handle(5, 7, 2, forward = true) == 2)
+      assert(store.handle(7, 5, 2, forward = false) == 2)
+      assert(store.getLong(2, 0) == 30L)
+    }
+  }
+
+  test("NoEdgeProps refuses reads and costs nothing") {
+    intercept[IllegalStateException](NoEdgeProps.getLong(0, 0))
+    intercept[IllegalStateException](NoEdgeProps.getString(0, 0))
+    assert(NoEdgeProps.bytes == 0L)
   }
 
   test("VColOwnerEdgeProps resolves the owner on both directions") {

@@ -16,13 +16,13 @@ class RowStoreSpec extends SparkSpec {
     b.addString(2, "")
     val rs = b.result()
 
-    assert(rs.readLong(0, 0) == 42L)
-    assert(rs.readString(0, 1) == "hello")
-    assert(rs.readLong(0, 2) == Values.Null)
-    assert(rs.readLong(1, 0) == Values.Null)
-    assert(rs.readString(1, 1) == null)
-    assert(rs.readLong(2, 0) == (1L << 40))
-    assert(rs.readString(2, 2) == "")
+    assert(rs.getLong(0, 0) == 42L)
+    assert(rs.getString(0, 1) == "hello")
+    assert(rs.getLong(0, 2) == Values.Null)
+    assert(rs.getLong(1, 0) == Values.Null)
+    assert(rs.getString(1, 1) == null)
+    assert(rs.getLong(2, 0) == (1L << 40))
+    assert(rs.getString(2, 2) == "")
   }
 
   test("key scan finds later keys after variable-length strings") {
@@ -32,8 +32,8 @@ class RowStoreSpec extends SparkSpec {
     b.addLong(1, 7L, asInt = true)
     b.addString(2, "tail")
     val rs = b.result()
-    assert(rs.readLong(0, 1) == 7L)
-    assert(rs.readString(0, 2) == "tail")
+    assert(rs.getLong(0, 1) == 7L)
+    assert(rs.getString(0, 2) == "tail")
   }
 
   test("bytes include per-entity pointer cost (8B) even for empty records") {
@@ -48,7 +48,7 @@ class RowStoreSpec extends SparkSpec {
     val b = new RowStore.Builder(1)
     b.startRecord(0)
     b.addString(0, "héllo wörld ≠")
-    assert(b.result().readString(0, 0) == "héllo wörld ≠")
+    assert(b.result().getString(0, 0) == "héllo wörld ≠")
   }
 
   test("random records round-trip") {
@@ -75,9 +75,9 @@ class RowStoreSpec extends SparkSpec {
     val rs = b.result()
     data.zipWithIndex.foreach { case (props, i) =>
       props.foreach {
-        case (k, v: Long)   => assert(rs.readLong(i, k) == v)
-        case (k, v: String) => assert(rs.readString(i, k) == v)
-        case (k, _)         => assert(rs.readLong(i, k) == Values.Null)
+        case (k, v: Long)   => assert(rs.getLong(i, k) == v)
+        case (k, v: String) => assert(rs.getString(i, k) == v)
+        case (k, _)         => assert(rs.getLong(i, k) == Values.Null)
       }
     }
   }

@@ -53,6 +53,6 @@ class VColumnSpec extends SparkSpec {
     assert(cs.getString(0, 0) == "c")
     assert(cs.getString(1, 0) == "a")
     assert(cs.getString(2, 0) == null)
-    assert(cs.get(3, 0) == 1L)
+    assert(cs.getLong(3, 0) == 1L)
   }
 }
