@@ -96,6 +96,9 @@ class Table6JobBench extends SparkSpec {
     Table6Benchmarks.render(r)
     assert(r.medianSpeedup > 1.2, s"median GF-RV/GF-CL = ${r.medianSpeedup} (paper: 3.1x)")
     assert(r.rows.count(_.rvOverCl > 1.0) >= r.rows.size * 2 / 3)
+    // Every JOB query answers on IMDb; a row timed on an empty result
+    // measures nothing.
+    assert(r.rows.forall(_.count > 0), s"empty: ${r.rows.filter(_.count == 0).map(_.query)}")
   }
 }
 

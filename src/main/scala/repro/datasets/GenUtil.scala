@@ -3,10 +3,41 @@ package repro.datasets
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Shared Spark generators for synthetic graph datasets. Deterministic in
-  * the seed so every engine (and DuckDB) sees identical data.
+/** Shared Spark generators for synthetic graph datasets. The data depend only
+  * on (scale, seed), so every engine (and DuckDB) sees identical data on any
+  * machine: Spark seeds `rand(seed)` per partition, and every table starts
+  * from [[range]], whose partition count is fixed rather than the core count.
   */
 object GenUtil {
+
+  /** Partitions of every generated table (part of what the data depend on). */
+  val Partitions = 4
+
+  /** Row ids `0 until n` in [[Partitions]] partitions, as column `id`. */
+  def range(spark: SparkSession, n: Long): DataFrame =
+    spark.range(0, n, 1, Partitions).toDF()
+
+  /** A property's value domain: the random generator draws from it, and a
+    * planted row takes its values from it in domain order.
+    */
+  sealed trait Domain {
+    /** The non-NULL values, in domain order. */
+    def values: Iterator[Any]
+    /** A random column over the domain. */
+    def column(seed: Long): Column
+  }
+
+  /** Dictionary words, see [[dictCol]]. */
+  final case class Words(words: Seq[String], nullFrac: Double = 0.0) extends Domain {
+    def values: Iterator[Any] = words.iterator
+    def column(seed: Long): Column = dictCol(words, seed, nullFrac)
+  }
+
+  /** Longs in `[lo, hi)`, see [[longCol]]. */
+  final case class Longs(lo: Long, hi: Long, nullFrac: Double = 0.0) extends Domain {
+    def values: Iterator[Any] = (lo until hi).iterator
+    def column(seed: Long): Column = longCol(lo, hi, seed, nullFrac)
+  }
 
   /** Capped-Pareto out-degrees: mean ~ `avg`, power-law tail, hard cap so
     * k-hop counts stay bounded at bench scale (real graphs in the paper are
@@ -25,7 +56,7 @@ object GenUtil {
   def nnEdges(spark: SparkSession, nSrc: Long, nDst: Long, avgDeg: Double, cap: Int,
               seed: Long, inSkew: Double = 1.5): DataFrame = {
     import spark.implicits._
-    spark.range(nSrc)
+    range(spark, nSrc)
       .select($"id" as "src", paretoDeg(seed, avgDeg, cap) as "deg")
       .where($"deg" > 0)
       .select($"src", explode(sequence(lit(0L), $"deg" - 1)) as "j")
@@ -40,9 +71,17 @@ object GenUtil {
   def singleEdges(spark: SparkSession, nSrc: Long, nDst: Long, presence: Double,
                   seed: Long): DataFrame = {
     import spark.implicits._
-    spark.range(nSrc)
+    range(spark, nSrc)
       .where(rand(seed) < presence)
       .select($"id" as "src", (rand(seed + 7) * nDst).cast("long") as "dst")
+  }
+
+  /** 1-n edge table: each of `nChild` destinations has exactly one uniformly
+    * chosen source among `nParent`.
+    */
+  def oneNEdges(spark: SparkSession, nChild: Long, nParent: Long, seed: Long): DataFrame = {
+    import spark.implicits._
+    range(spark, nChild).select((rand(seed) * nParent).cast("long") as "src", $"id" as "dst")
   }
 
   /** Pick a dictionary value per row: `words(i)` with roughly uniform

@@ -74,7 +74,7 @@ object LdbcLite {
     val ips = (0 until 500).map(i => s"10.0.${i / 250}.${i % 250}")
     val browsers = Seq("Firefox", "Chrome", "Safari", "IE")
 
-    val person = spark.range(nP).select(
+    val person = GenUtil.range(spark, nP).select(
       $"id" as "vid",
       ($"id" * 37 + 11) as "id",
       GenUtil.dictCol(fNames, seed + 1) as "fName",
@@ -85,32 +85,32 @@ object LdbcLite {
       GenUtil.dictCol(ips, seed + 6) as "locationIP",
       GenUtil.dictCol(browsers, seed + 7, nullFrac = 0.2) as "browserUsed")
 
-    val comment = spark.range(nC).select(
+    val comment = GenUtil.range(spark, nC).select(
       $"id" as "vid",
       ($"id" * 13 + 5) as "id",
       GenUtil.longCol(1_000_000_000L, 1_400_000_000L, seed + 8) as "creationDate",
       GenUtil.longCol(1, 2000, seed + 9) as "length")
 
-    val post = spark.range(nPost).select(
+    val post = GenUtil.range(spark, nPost).select(
       $"id" as "vid",
       ($"id" * 17 + 3) as "id",
       GenUtil.longCol(1_000_000_000L, 1_400_000_000L, seed + 10) as "creationDate",
       GenUtil.longCol(1, 2000, seed + 11) as "length")
 
-    val forum = spark.range(nF).select(
+    val forum = GenUtil.range(spark, nF).select(
       $"id" as "vid", ($"id" * 7 + 1) as "id",
       GenUtil.longCol(1_000_000_000L, 1_400_000_000L, seed + 12) as "creationDate")
 
-    val org = spark.range(nO).select(
+    val org = GenUtil.range(spark, nO).select(
       $"id" as "vid",
       concat(lit("org_"), $"id".cast("string")) as "name",
       GenUtil.dictCol(Seq("company", "university"), seed + 13) as "orgType")
 
-    val place = spark.range(nPl).select(
+    val place = GenUtil.range(spark, nPl).select(
       $"id" as "vid", concat(lit("place_"), $"id".cast("string")) as "name")
-    val tag = spark.range(nT).select(
+    val tag = GenUtil.range(spark, nT).select(
       $"id" as "vid", concat(lit("tag_"), $"id".cast("string")) as "name")
-    val tagclass = spark.range(nTc).select(
+    val tagclass = GenUtil.range(spark, nTc).select(
       $"id" as "vid", concat(lit("tagclass_"), $"id".cast("string")) as "name")
 
     def withDate(df: DataFrame, col: String, s: Long): DataFrame =
@@ -133,8 +133,7 @@ object LdbcLite {
         .withColumn("classYear", GenUtil.longCol(1990, 2020, seed + 34)),
       "hasModerator" -> GenUtil.singleEdges(spark, nF, nP, presence = 1.0, seed + 35),
       // Each post is contained in exactly one forum (1-n).
-      "containerOf" -> spark.range(nPost).select(
-        (rand(seed + 36) * nF).cast("long") as "src", $"id" as "dst"),
+      "containerOf" -> GenUtil.oneNEdges(spark, nPost, nF, seed + 36),
       "hasMember" -> GenUtil.nnEdges(spark, nF, nP, avgDeg = 30, cap = 300, seed + 37)
         .withColumn("joinDate", GenUtil.longCol(1_000_000_000L, 1_400_000_000L, seed + 38)),
       "hasTag" -> GenUtil.nnEdges(spark, nPost, nT, avgDeg = 3, cap = 10, seed + 39),

@@ -20,7 +20,7 @@ object SocialGraph {
 
   def apply(spark: SparkSession, n: Long, avgDeg: Double, cap: Int, seed: Long): GraphData = {
     import spark.implicits._
-    val verts = spark.range(n).select($"id" as "vid", $"id" as "id")
+    val verts = GenUtil.range(spark, n).select($"id" as "vid", $"id" as "id")
     val edges = GenUtil.nnEdges(spark, n, n, avgDeg, cap, seed)
       .withColumn("since", GenUtil.longCol(1_000_000_000L, 1_400_000_000L, seed + 31))
     GraphData(schema, Map("node" -> verts), Map("link" -> edges))

@@ -32,7 +32,7 @@ object Table4SingleCard {
       vertices = IndexedSeq(VertexDef("comment", IndexedSeq(
         PropertyDef("id", PLongT), PropertyDef("creationDate", PLongT)))),
       edges = IndexedSeq(EdgeDef("replyOfComment", "comment", "comment", NOne, IndexedSeq.empty)))
-    val comment = spark.range(nComments).select(
+    val comment = GenUtil.range(spark, nComments).select(
       $"id" as "vid", ($"id" * 13 + 5) as "id",
       GenUtil.longCol(1_000_000_000L, 1_400_000_000L, 91) as "creationDate")
     val edges = GenUtil.singleEdges(spark, nComments, nComments, presence = 0.5, seed = 92)

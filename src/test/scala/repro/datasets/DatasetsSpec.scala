@@ -2,6 +2,8 @@ package repro.datasets
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
+import repro.engine.Lbp
+import repro.query._
 
 /** Structural invariants of the synthetic datasets — the properties the
   * paper's experiments rely on (cardinalities, sparsity, degree shape).
@@ -90,6 +92,39 @@ class DatasetsSpec extends SparkSpec {
     val a = SocialGraph.flickrLite(spark, 500).edges("link").agg(sum("src"), sum("dst"), sum("since")).collect()(0)
     val b = SocialGraph.flickrLite(spark, 500).edges("link").agg(sum("src"), sum("dst"), sum("since")).collect()(0)
     assert(a == b)
+  }
+
+  test("generated data do not depend on the core count") {
+    // Per table: the row count and one hash sum per column.
+    def fingerprint(): Map[String, Seq[Any]] =
+      Seq("imdb" -> ImdbLite(spark, TestFixtures.NTitles), "ldbc" -> LdbcLite(spark, TestFixtures.NPersons))
+        .flatMap { case (set, data) =>
+          (data.vertices ++ data.edges).map { case (table, df) =>
+            val sums = df.columns.toSeq.map(c => sum(hash(col(c)).cast("long")))
+            s"$set.$table" -> df.agg(count(lit(1)), sums: _*).collect()(0).toSeq
+          }
+        }.toMap
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    try {
+      spark.conf.set(key, 1)
+      val one = fingerprint()
+      spark.conf.set(key, 4)
+      val four = fingerprint()
+      val differ = one.keys.filter(t => one(t) != four(t))
+      assert(differ.isEmpty, s"tables that differ between 1 and 4 leaf partitions: $differ")
+    } finally spark.conf.unset(key)
+  }
+
+  test("IMDb-lite answers every JOB query (one planted witness each)") {
+    val empty = JobQueries.all.filter(q => Lbp.count(TestFixtures.imdb.gfcl, q) == 0).map(_.name)
+    assert(empty.isEmpty, s"JOB queries with no answer: $empty")
+  }
+
+  test("a JOB predicate that no domain value passes is refused, not left empty") {
+    val q = Query("opera", Seq(QVar("t", "title")), Seq.empty,
+      Seq(StrPred(VProp("t", "kind"), SEq("opera"))), anchor = "t", joinOrder = Seq.empty)
+    val e = intercept[IllegalStateException](ImdbLite.witnesses(Seq(q), ImdbLite.sizes(TestFixtures.NTitles)))
+    assert(e.getMessage.contains("opera") && e.getMessage.contains("title.kind"), e.getMessage)
   }
 
   test("anchored person id exists exactly once") {
