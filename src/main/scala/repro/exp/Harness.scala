@@ -1,9 +1,7 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
-
-/** Shared benchmark scaffolding: scale knobs, adaptive timing, and table
-  * formatting. All bench datasets scale with REPRO_SCALE (default 1.0).
+/** Shared benchmark scaffolding: scale knobs, the timing protocol, and
+  * table formatting. All bench datasets scale with REPRO_SCALE (default 1.0).
   */
 object Scale {
   val factor: Double = sys.env.get("REPRO_SCALE").map(_.toDouble).getOrElse(1.0)
@@ -34,35 +32,52 @@ object Scale {
   def t6LdbcPersons: Long = sc(50000)
 }
 
-object Timing {
+/** One timing of a table cell: median, min and max milliseconds over `n`
+  * timed calls.
+  */
+final case class Sample(median: Double, min: Double, max: Double, n: Int)
 
-  /** Milliseconds for one evaluation of `f` (result discarded). */
-  def once[A](f: => A): Double = {
-    val t0 = System.nanoTime()
-    f
-    (System.nanoTime() - t0) / 1e6
-  }
-
-  /** Adaptive repetition, echoing the paper's protocol (5 runs, average of
-    * the last 3) but bounded for long-running configurations: fast queries
-    * get 1 warmup + 3 timed runs; slow ones fewer.
+object Sample {
+  /** Summarise timed calls; the median of an even count is the mean of the
+    * middle two.
     */
-  def timeMs[A](f: => A): Double = {
-    val first = once(f)
-    if (first < 100) {
-      // Sub-100ms runs: extra JIT warmup, then best-of-5 — GC pauses from
-      // the in-process Spark session otherwise dominate ms-scale medians.
-      once(f); once(f)
-      Seq.fill(5)(once(f)).min
-    } else if (first < 1000) {
-      Seq.fill(3)(once(f)).min
-    } else if (first < 10000) {
-      (first + once(f)) / 2
-    } else first
+  def of(ms: Array[Double]): Sample = {
+    require(ms.nonEmpty, "a sample needs at least one timing")
+    val s = ms.sorted
+    val n = s.length
+    val median = if (n % 2 == 1) s(n / 2) else (s(n / 2 - 1) + s(n / 2)) / 2
+    Sample(median, s(0), s(n - 1), n)
+  }
+}
+
+/** The one timing protocol of every table runner: `WarmUps` untimed calls,
+  * then `Runs` timed calls, summarised as one [[Sample]]. Both counts are
+  * fixed, so every "ms" cell of every table is the same statistic.
+  */
+object Timing {
+  final val WarmUps = 2
+  final val Runs = 5
+
+  /** Time `f` under the protocol (results discarded). */
+  def measure[A](f: => A): Sample = {
+    var i = 0
+    while (i < WarmUps) { f; i += 1 }
+    val ms = new Array[Double](Runs)
+    i = 0
+    while (i < Runs) {
+      val t0 = System.nanoTime()
+      f
+      ms(i) = (System.nanoTime() - t0) / 1e6
+      i += 1
+    }
+    Sample.of(ms)
   }
 
-  def fmt(ms: Double): String =
+  private def fmt(ms: Double): String =
     if (ms >= 100) f"$ms%.0f" else if (ms >= 10) f"$ms%.1f" else f"$ms%.2f"
+
+  /** `median [min-max]`, ASCII so it prints on any console encoding. */
+  def fmt(s: Sample): String = s"${fmt(s.median)} [${fmt(s.min)}-${fmt(s.max)}]"
 }
 
 /** Aligned-column table printer for bench output. */
@@ -79,18 +94,4 @@ final class TablePrinter(title: String) {
     sb.toString
   }
   def printOut(): String = { val s = render(); println(s); s }
-}
-
-/** Entry-point helper shared by jobs/ mains. */
-object JobMain {
-  def session(): SparkSession = {
-    val s = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro-bench")
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    s.sparkContext.setLogLevel("WARN")
-    s
-  }
 }

@@ -12,9 +12,9 @@ import repro.engine.Lbp
   */
 object Table3PropPages {
 
-  final case class Cell(dataset: String, plan: String, config: String, hops: Int, ms: Double)
+  final case class Cell(dataset: String, plan: String, config: String, hops: Int, ms: Sample)
   final case class Result(cells: Seq[Cell]) {
-    def ms(ds: String, plan: String, config: String, hops: Int): Double =
+    def ms(ds: String, plan: String, config: String, hops: Int): Sample =
       cells.find(c => c.dataset == ds && c.plan == plan && c.config == config && c.hops == hops).get.ms
   }
 
@@ -33,8 +33,8 @@ object Table3PropPages {
         val q1 = MicroQueries.khop(edgeLabel, vLabel, 1, forward, Some(1_200_000_000L), prop)
         val q2 = MicroQueries.twoHopCrossPred(edgeLabel, vLabel, prop, forward)
         val plan = if (forward) "P_F" else "P_B"
-        cells += Cell(name, plan, config, 1, Timing.timeMs(Lbp.count(store, q1)))
-        cells += Cell(name, plan, config, 2, Timing.timeMs(Lbp.count(store, q2)))
+        cells += Cell(name, plan, config, 1, Timing.measure(Lbp.count(store, q1)))
+        cells += Cell(name, plan, config, 2, Timing.measure(Lbp.count(store, q2)))
       }
     }
     Result(cells.toSeq)
@@ -50,7 +50,7 @@ object Table3PropPages {
         Timing.fmt(r.ms("FLICKR", plan, config, 1)), Timing.fmt(r.ms("FLICKR", plan, config, 2)))
     }
     def sp(ds: String, plan: String, h: Int) =
-      f"${r.ms(ds, plan, "COL_E", h) / r.ms(ds, plan, "PAGE_P", h)}%.1fx"
+      f"${r.ms(ds, plan, "COL_E", h).median / r.ms(ds, plan, "PAGE_P", h).median}%.1fx"
     for (plan <- Seq("P_F", "P_B"))
       t.row(plan, "COL_E/PAGE_P",
         sp("LDBC", plan, 1), sp("LDBC", plan, 2), sp("WIKI", plan, 1),

@@ -11,7 +11,7 @@ import repro.engine.Lbp
   */
 object Table4SingleCard {
 
-  final case class Row(config: String, ms: Seq[Double], memMb: Double)
+  final case class Row(config: String, ms: Seq[Sample], memMb: Double)
   final case class Result(rows: Seq[Row]) {
     def row(c: String): Row = rows.find(_.config == c).get
   }
@@ -46,7 +46,7 @@ object Table4SingleCard {
       val store = GraphLoader.build(collected, config)
       val ms = (1 to 3).map { hops =>
         val q = MicroQueries.khop("replyOfComment", "comment", hops, forward = true, filtered = None)
-        Timing.timeMs(Lbp.count(store, q))
+        Timing.measure(Lbp.count(store, q))
       }
       Row(name, ms, store.labelBytes(label) / 1e6)
     })
@@ -58,7 +58,7 @@ object Table4SingleCard {
     r.rows.foreach(row => t.row(row.config +: row.ms.map(Timing.fmt) :+ f"${row.memMb}%.2f": _*))
     def ratio(a: String, b: String) = {
       val (ra, rb) = (r.row(a), r.row(b))
-      (a + "/" + b) +: ra.ms.zip(rb.ms).map { case (x, y) => f"${x / y}%.2fx" } :+
+      (a + "/" + b) +: ra.ms.zip(rb.ms).map { case (x, y) => f"${x.median / y.median}%.2fx" } :+
         f"${ra.memMb / rb.memMb}%.2fx"
     }
     t.row(ratio("CSR-UNC", "V-COL-UNC"): _*)

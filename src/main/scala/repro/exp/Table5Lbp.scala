@@ -11,8 +11,8 @@ import repro.engine.{Lbp, Volcano}
   */
 object Table5Lbp {
 
-  final case class Cell(dataset: String, kind: String, hops: Int, cvMs: Double, clMs: Double) {
-    def speedup: Double = cvMs / clMs
+  final case class Cell(dataset: String, kind: String, hops: Int, cvMs: Sample, clMs: Sample) {
+    def speedup: Double = cvMs.median / clMs.median
   }
   final case class Result(cells: Seq[Cell]) {
     def cell(ds: String, kind: String, hops: Int): Cell =
@@ -33,8 +33,8 @@ object Table5Lbp {
         val filtered = if (kind == "FILTER") Some(1_200_000_000L) else None
         val q = MicroQueries.khop(edgeLabel, vLabel, hops, forward = true, filtered, prop)
         // Same plan, two processors over identical columnar storage.
-        val cl = Timing.timeMs(Lbp.count(store, q))
-        val cv = Timing.timeMs(Volcano.count(store, q))
+        val cl = Timing.measure(Lbp.count(store, q))
+        val cv = Timing.measure(Volcano.count(store, q))
         cells += Cell(name, kind, hops, cv, cl)
       }
     }

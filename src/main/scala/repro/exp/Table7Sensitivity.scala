@@ -19,10 +19,10 @@ object Table7Sensitivity {
   val densities: Seq[Int] = Seq(100, 90, 80, 70, 60, 50, 40, 30, 20, 10)
 
   final case class Result(
-      runtimeMs: Map[(Int, (Int, Int)), Double], // (rho, (c,m)) -> ms
+      runtimeMs: Map[(Int, (Int, Int)), Sample], // (rho, (c,m)) -> ms
       overheadMb: Map[(Int, Int), Double],       // (c,m) -> MB at rho=50
-      uncompressedMs: Map[Int, Double],          // rho -> ms
-      vanillaMsScaled: Map[Int, Double])         // rho -> ms (normalized to full access count)
+      uncompressedMs: Map[Int, Sample],          // rho -> ms
+      vanillaMsScaled: Map[Int, Sample])         // rho -> ms (normalized to full access count)
 
   private def dense(n: Int, rho: Int, seed: Int): Array[Long] = {
     val rnd = new java.util.Random(seed)
@@ -38,16 +38,16 @@ object Table7Sensitivity {
   def run(): Result = {
     val n = Scale.nullColumnSize
     val acc = accesses(n, Scale.nullColumnAccesses, 99)
-    var runtime = Map.empty[(Int, (Int, Int)), Double]
+    var runtime = Map.empty[(Int, (Int, Int)), Sample]
     var overhead = Map.empty[(Int, Int), Double]
-    var uncMs = Map.empty[Int, Double]
-    var vanMs = Map.empty[Int, Double]
+    var uncMs = Map.empty[Int, Sample]
+    var vanMs = Map.empty[Int, Sample]
 
     for (rho <- densities) {
       val d = dense(n, rho, rho)
       for ((c, m) <- cms) {
         val col = NullCompressedColumn(d, c, m)
-        val ms = Timing.timeMs {
+        val ms = Timing.measure {
           var s = 0L
           var i = 0
           while (i < acc.length) { s += col.get(acc(i)); i += 1 }
@@ -59,7 +59,7 @@ object Table7Sensitivity {
       // Uncompressed: the store's plain column structure (fixed-width
       // values, sentinel NULLs) — the same read path a query would use.
       val unc = repro.storage.VColumn(d, suppress = false, nullCompress = false)
-      uncMs += rho -> Timing.timeMs {
+      uncMs += rho -> Timing.measure {
         var s = 0L
         var i = 0
         while (i < acc.length) { s += unc.get(acc(i)); i += 1 }
@@ -69,13 +69,14 @@ object Table7Sensitivity {
       // slice of the accesses and scaled to the full count.
       val van = VanillaNullColumn(d)
       val vanAccesses = math.max(1, acc.length / 512)
-      val t = Timing.once {
+      val t = Timing.measure {
         var s = 0L
         var i = 0
         while (i < vanAccesses) { s += van.get(acc(i)); i += 1 }
         s
       }
-      vanMs += rho -> t * (acc.length.toDouble / vanAccesses)
+      val k = acc.length.toDouble / vanAccesses
+      vanMs += rho -> t.copy(median = t.median * k, min = t.min * k, max = t.max * k)
     }
     Result(runtime, overhead, uncMs, vanMs)
   }

@@ -62,15 +62,14 @@ object VColumn {
     if (nullCompress && StorageConfig.aboveNullFraction(nulls, dense.length)) {
       new CompressedVColumn(NullCompressedColumn(dense, StorageConfig.RankC, StorageConfig.RankM, suppress))
     } else {
-      // Sentinel = max+1 keeps NULLs representable inside the fixed width.
+      // Sentinel = max+1 keeps NULLs representable inside the fixed width;
+      // the narrowing copy writes it in place of each NULL.
       val sentinel = if (nulls > 0) max + 1 else -1L
-      val enc = if (nulls > 0) dense.clone() else dense
-      if (nulls > 0) { i = 0; while (i < enc.length) { if (enc(i) == Values.Null) enc(i) = sentinel; i += 1 } }
       val maxCode = math.max(max, sentinel)
       val width =
         if (fixedWidth > 0) math.max(fixedWidth, ByteWidthArray.widthFor(maxCode))
         else ByteWidthArray.widthFor(maxCode, suppress)
-      new PlainVColumn(ByteWidthArray.at(enc, width), sentinel)
+      new PlainVColumn(ByteWidthArray.at(dense, width, nullAs = sentinel), sentinel)
     }
   }
 }

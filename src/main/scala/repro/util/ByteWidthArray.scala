@@ -1,5 +1,7 @@
 package repro.util
 
+import repro.core.Values
+
 /** A fixed-length array of non-negative longs stored with leading-0
   * suppression (paper §5.1): every element is encoded with the same fixed
   * byte width in {1, 2, 4, 8}, the smallest that fits the maximum value.
@@ -79,17 +81,20 @@ object ByteWidthArray {
     if (suppress) apply(values) else at(values, 8)
 
   /** Encode at an explicit width; used to model uncompressed (8-byte)
-    * baselines such as GF-RV's 8-byte IDs.
+    * baselines such as GF-RV's 8-byte IDs. Entries equal to [[Values.Null]]
+    * are written as `nullAs` in the same copy (a column's NULL sentinel);
+    * `values` itself is never modified.
     */
-  def at(values: Array[Long], width: Int): ByteWidthArray = {
+  def at(values: Array[Long], width: Int, nullAs: Long = Values.Null): ByteWidthArray = {
     // Typed copy loops: ArrayOps.map stores each element through its boxed path.
     val n = values.length
+    @inline def v(i: Int): Long = { val x = values(i); if (x == Values.Null) nullAs else x }
     var i = 0
     width match {
-      case 1 => val a = new Array[Byte](n); while (i < n) { a(i) = values(i).toByte; i += 1 }; new W1(a)
-      case 2 => val a = new Array[Short](n); while (i < n) { a(i) = values(i).toShort; i += 1 }; new W2(a)
-      case 4 => val a = new Array[Int](n); while (i < n) { a(i) = values(i).toInt; i += 1 }; new W4(a)
-      case 8 => new W8(values.clone())
+      case 1 => val a = new Array[Byte](n); while (i < n) { a(i) = v(i).toByte; i += 1 }; new W1(a)
+      case 2 => val a = new Array[Short](n); while (i < n) { a(i) = v(i).toShort; i += 1 }; new W2(a)
+      case 4 => val a = new Array[Int](n); while (i < n) { a(i) = v(i).toInt; i += 1 }; new W4(a)
+      case 8 => val a = new Array[Long](n); while (i < n) { a(i) = v(i); i += 1 }; new W8(a)
       case w => throw new IllegalArgumentException(s"unsupported width $w")
     }
   }

@@ -48,6 +48,15 @@ class ByteWidthArraySpec extends SparkSpec {
     intercept[IllegalArgumentException](ByteWidthArray.at(Array(1L), 3))
   }
 
+  test("at writes nullAs in place of each NULL and leaves its input alone") {
+    val in = Array(3L, repro.core.Values.Null, 7L)
+    for (width <- Seq(1, 2, 4, 8)) {
+      val a = ByteWidthArray.at(in, width, nullAs = 9L)
+      assert((0 until 3).map(a.get) == Seq(3L, 9L, 7L), s"width $width")
+    }
+    assert(in(1) == repro.core.Values.Null)
+  }
+
   test("empty array") {
     assert(ByteWidthArray.empty.length == 0)
     assert(ByteWidthArray(Array.empty[Long]).length == 0)
