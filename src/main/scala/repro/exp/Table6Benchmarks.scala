@@ -41,7 +41,8 @@ object Table6Benchmarks {
     val rows = queries.map { q =>
       // GF-CL and GF-RV plans are compiled once, so their timings measure
       // execution (the paper's systems also plan once per run). Each SQL
-      // call plans its query again, so the SPARK column includes planning.
+      // call plans its query again, so the SPARK column includes planning;
+      // re-running one DataFrame would reuse its shuffle outputs instead.
       val clPlan = repro.query.Compiler.compile(q, gfcl)
       val rvPlan = repro.query.Compiler.compile(q, gfrv)
       val cCl = Lbp.count(gfcl, clPlan)

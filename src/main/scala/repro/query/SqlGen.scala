@@ -35,12 +35,16 @@ object SqlGen {
       }
     }
 
-    // Vertex tables joined only when vertex properties are referenced.
+    // Vertex tables joined only when vertex properties are referenced. The
+    // anchor's table leads the FROM list: Spark's rule-based join order
+    // follows it, and with the anchor last a path query enumerates every
+    // path of the graph before its selective anchor predicate applies.
     val varsWithProps = q.preds.flatMap(_.operands).collect { case VProp(v, _) => v }.distinct
     varsWithProps.foreach { v =>
       val alias = s"v_$v"
       val label = q.varByName(v).label
-      from += s"${vertexTable(label)} AS $alias"
+      val table = s"${vertexTable(label)} AS $alias"
+      if (v == q.anchor) from.prepend(table) else from += table
       binding.get(v) match {
         case Some(b) => where += s"$alias.vid = $b"
         case None    => binding += v -> s"$alias.vid" // scan-only query

@@ -26,6 +26,14 @@ class SqlGenSpec extends SparkSpec {
     assert(sql2.contains("v_node AS v_c") && sql2.contains("v_c.vid = t1.dst"))
   }
 
+  test("the anchor's vertex table leads the FROM list") {
+    val anchored = q2hop.copy(preds = Seq(
+      CmpConst(VProp("c", "id"), LT, 5), CmpConst(VProp("a", "id"), EQ, 1)))
+    val sql = SqlGen.countSql(anchored)
+    assert(sql.contains("FROM v_node AS v_a, e_link AS t0, e_link AS t1, v_node AS v_c"))
+    assert(sql.contains("v_a.vid = t0.src"))
+  }
+
   test("string predicates translate to SQL operators") {
     def sqlFor(p: Pred) = SqlGen.countSql(Query("q",
       Seq(QVar("a", "title")), Seq.empty, Seq(p), "a", Seq.empty))
