@@ -46,6 +46,16 @@ final class NullCompressedColumn private (index: JacobsonIndex, values: ByteWidt
   def get(p: Int): Long =
     if (index.isSet(p)) values.get(index.rank(p).toInt) else NullCompressedColumn.Null
 
+  /** `out(i) = get(idx(i))` for i < n; `out` may be `idx`. */
+  def gather(idx: Array[Long], n: Int, out: Array[Long]): Unit = {
+    var i = 0
+    while (i < n) {
+      val p = idx(i).toInt
+      out(i) = if (index.isSet(p)) values.get(index.rank(p).toInt) else NullCompressedColumn.Null
+      i += 1
+    }
+  }
+
   def bytes: Long = index.bytes + values.bytes
   def indexBytes: Long = index.bytes
 }

@@ -15,10 +15,14 @@ import repro.util.ByteWidthArray
 object Lbp {
 
   /** A block of values: the engine's read-only view over CSR slices,
-    * scratch arrays, scan ranges, or a single value.
+    * scratch arrays, scan ranges, or a single value. `gather` reads the
+    * values at a selection in one loop inside the reader's own class, so
+    * the filter and extend loops dispatch once per block (paper §6.2).
     */
   sealed trait LongReader {
     def get(i: Int): Long
+    /** `out(i) = get(sel(i))` for i < n, or `get(i)` when `sel` is null. */
+    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit
   }
   // Readers are allocated once per operator and re-pointed per list —
   // block processors reuse their vector objects, so LBP does no per-list
@@ -26,6 +30,11 @@ object Lbp {
   private final class RangeReader extends LongReader {
     var start: Long = 0L
     def get(i: Int): Long = start + i
+    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      if (sel == null) while (i < n) { out(i) = start + i; i += 1 }
+      else while (i < n) { out(i) = start + sel(i); i += 1 }
+    }
   }
   /** A reader re-pointed at each adjacency list (of vertex `own`, starting
     * at slot `off`).
@@ -37,10 +46,16 @@ object Lbp {
   /** Points into an adjacency array — no copy (paper §6.2, ListExtend). */
   private final class SliceReader(a: ByteWidthArray) extends SlotReader {
     def get(i: Int): Long = a.get(off + i)
+    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = a.gather(off, sel, n, out)
   }
   private final class ScratchReader extends LongReader {
     var a: Array[Long] = null
     def get(i: Int): Long = a(i)
+    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      if (sel == null) System.arraycopy(a, 0, out, 0, n)
+      else while (i < n) { out(i) = a(sel(i)); i += 1 }
+    }
   }
   /** Forward property-page handles: the page base is fixed for the whole
     * adjacency list, so handles are base + page-level offsets.
@@ -49,17 +64,32 @@ object Lbp {
     private var base: Long = 0L
     override def point(start: Int, own: Long): Unit = { off = start; base = pages.pageBase(own) }
     def get(i: Int): Long = base + ev.get(off + i)
+    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = {
+      ev.gather(off, sel, n, out)
+      var i = 0
+      while (i < n) { out(i) += base; i += 1 }
+    }
   }
   /** Backward property-page handles: pageBase(neighbour) + page offset,
     * with the page store bound directly (no generic handle dispatch).
     */
   private final class BwdPageHandleReader(pages: PropertyPages,
                                           ev: ByteWidthArray, nbrs: ByteWidthArray) extends SlotReader {
+    private var offsets = new Array[Long](1024)
     def get(i: Int): Long = pages.pageBase(nbrs.get(off + i)) + ev.get(off + i)
+    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = {
+      nbrs.gather(off, sel, n, out)
+      pages.pageBases(out, n, out)
+      if (offsets.length < n) offsets = new Array[Long](capacity(n))
+      ev.gather(off, sel, n, offsets)
+      var i = 0
+      while (i < n) { out(i) += offsets(i); i += 1 }
+    }
   }
   private final class ConstReader extends LongReader {
     var value: Long = 0L
     def get(i: Int): Long = value
+    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = java.util.Arrays.fill(out, 0, n, value)
   }
 
   /** One factorized group of equal-length blocks (paper §6.1). */
@@ -74,15 +104,27 @@ object Lbp {
     def tupleCount: Long = if (curIdx >= 0) 1L else numPos.toLong
   }
 
-  /** The intermediate chunk: the Cartesian product of its list groups. */
-  private final class Chunk(numV: Int, numE: Int) {
-    val groups = scala.collection.mutable.ArrayBuffer.empty[ListGroup]
+  /** The intermediate chunk: the Cartesian product of its list groups
+    * (one for the scan and one per ListExtend), plus the value scratch its
+    * filters gather into.
+    */
+  private final class Chunk(numV: Int, numE: Int, numGroups: Int) {
+    val groups = new Array[ListGroup](numGroups)
+    private var nGroups = 0
     val vGroup = Array.fill(numV)(-1)
     val vReader = new Array[LongReader](numV)
     val eGroup = Array.fill(numE)(-1)
     val eReader = new Array[LongReader](numE)
+    var xs = new Array[Long](1024)
+    var ys = new Array[Long](1024)
 
-    def newGroup(): Int = { groups += new ListGroup; groups.length - 1 }
+    def newGroup(): Int = { groups(nGroups) = new ListGroup; nGroups += 1; nGroups - 1 }
+
+    /** Grow the value scratch to hold `n` values. */
+    def reserve(n: Int): Unit = if (xs.length < n) {
+      xs = new Array[Long](capacity(n))
+      ys = new Array[Long](xs.length)
+    }
 
     def tupleCount: Long = {
       var prod = 1L
@@ -92,16 +134,20 @@ object Lbp {
     }
   }
 
+  /** The power of two at or above `n`: how scratch arrays grow. */
+  private def capacity(n: Int): Int = if (n <= 1) 1 else Integer.highestOneBit(n - 1) << 1
+
   private abstract class Op {
     def open(): Unit
     def next(): Boolean
   }
 
   /** Filter the group's positions by the compiled predicates; returns
-    * whether the state is still alive. Operand bindings are resolved once
-    * per block; the comparison runs in a tight loop (paper §6.2: all
-    * primitive computations happen inside loops over blocks). Selection
-    * compaction is in place (writes trail reads).
+    * whether the state is still alive. Each predicate on an active operand
+    * runs as three block primitives: gather the handles, gather their
+    * values, and select the passing positions (paper §6.2: all primitive
+    * computations happen inside loops over blocks). Selection compaction
+    * is in place (writes trail reads).
     */
   private def filterGroup(preds: Array[CompiledPred], gi: Int, g: ListGroup,
                           buf: Array[Int], chunk: Chunk): Boolean = {
@@ -128,89 +174,54 @@ object Lbp {
   private def isActive(chunk: Chunk, r: OperandRef, gi: Int, g: ListGroup): Boolean =
     groupOf(chunk, r) == gi && g.curIdx < 0
 
+  /** The values of active operand `r` at the group's positions, in `out`. */
+  private def gatherValues(chunk: Chunk, r: OperandRef, g: ListGroup, out: Array[Long]): Unit = {
+    readerOf(chunk, r).gather(g.sel, g.numPos, out)
+    r.gather(out, g.numPos, out)
+  }
+
   private def applyPred(pred: CompiledPred, gi: Int, g: ListGroup, chunk: Chunk,
-                        buf: Array[Int]): Boolean =
-    pred match {
+                        buf: Array[Int]): Boolean = {
+    val nPos = g.numPos
+    chunk.reserve(nPos)
+    val xs = chunk.xs
+    val n = pred match {
       case c: CmpPred =>
         val lhsActive = isActive(chunk, c.lhs, gi, g)
         val rhsActive = c.rhs != null && isActive(chunk, c.rhs, gi, g)
-        val op = c.op.code
-        if (!lhsActive && !rhsActive) {
+        if (lhsActive && rhsActive) {
+          // Both operands in the active group (e.g. edge vs neighbour prop).
+          gatherValues(chunk, c.lhs, g, xs)
+          gatherValues(chunk, c.rhs, g, chunk.ys)
+          CmpOp.selectPairs(c.op.code, xs, chunk.ys, nPos, g.sel, buf)
+        } else if (lhsActive) {
+          gatherValues(chunk, c.lhs, g, xs)
+          CmpOp.select(c.op.code, xs, nPos, if (c.rhs == null) c.const else flatValue(chunk, c.rhs), g.sel, buf)
+        } else if (rhsActive) {
+          gatherValues(chunk, c.rhs, g, xs)
+          CmpOp.select(c.op.flip.code, xs, nPos, flatValue(chunk, c.lhs), g.sel, buf)
+        } else {
           // Fully flat: evaluate once for the current tuple.
           val a = flatValue(chunk, c.lhs)
           val b = if (c.rhs == null) c.const else flatValue(chunk, c.rhs)
-          return a != Values.Null && b != Values.Null && CmpOp.holds(op, a, b)
+          return a != Values.Null && b != Values.Null && CmpOp.holds(c.op.code, a, b)
         }
-        val nPos = g.numPos
-        var n = 0
-        if (lhsActive && !rhsActive) {
-          val rd = readerOf(chunk, c.lhs)
-          val access = c.lhs.access
-          val b = if (c.rhs == null) c.const else flatValue(chunk, c.rhs)
-          if (b == Values.Null) { g.sel = buf; g.selLen = 0; return false }
-          var i = 0
-          while (i < nPos) {
-            val p = g.posAt(i)
-            val x = access(rd.get(p))
-            if (x != Values.Null && CmpOp.holds(op, x, b)) { buf(n) = p; n += 1 }
-            i += 1
-          }
-        } else if (!lhsActive && rhsActive) {
-          val a = flatValue(chunk, c.lhs)
-          if (a == Values.Null) { g.sel = buf; g.selLen = 0; return false }
-          val rd = readerOf(chunk, c.rhs)
-          val access = c.rhs.access
-          val mop = c.op.flip.code
-          var i = 0
-          while (i < nPos) {
-            val p = g.posAt(i)
-            val x = access(rd.get(p))
-            if (x != Values.Null && CmpOp.holds(mop, x, a)) { buf(n) = p; n += 1 }
-            i += 1
-          }
-        } else {
-          // Both operands in the active group (e.g. edge vs neighbour prop).
-          val rdL = readerOf(chunk, c.lhs)
-          val accL = c.lhs.access
-          val rdR = readerOf(chunk, c.rhs)
-          val accR = c.rhs.access
-          var i = 0
-          while (i < nPos) {
-            val p = g.posAt(i)
-            val a = accL(rdL.get(p))
-            val b = accR(rdR.get(p))
-            if (a != Values.Null && b != Values.Null && CmpOp.holds(op, a, b)) { buf(n) = p; n += 1 }
-            i += 1
-          }
-        }
-        g.sel = buf
-        g.selLen = n
-        n > 0
 
       case s: CodeSetPred =>
         if (!isActive(chunk, s.lhs, gi, g)) {
           val a = flatValue(chunk, s.lhs)
           return a != Values.Null && java.util.Arrays.binarySearch(s.codes, a) >= 0
         }
-        val rd = readerOf(chunk, s.lhs)
-        val access = s.lhs.access
-        val codes = s.codes
-        val nPos = g.numPos
-        var n = 0
-        var i = 0
-        while (i < nPos) {
-          val p = g.posAt(i)
-          val x = access(rd.get(p))
-          if (x != Values.Null && java.util.Arrays.binarySearch(codes, x) >= 0) { buf(n) = p; n += 1 }
-          i += 1
-        }
-        g.sel = buf
-        g.selLen = n
-        n > 0
+        gatherValues(chunk, s.lhs, g, xs)
+        CmpOp.selectIn(s.codes, xs, nPos, g.sel, buf)
 
       case _: RowStrPred =>
         throw new IllegalStateException("raw-string predicates exist only on row storage")
     }
+    g.sel = buf
+    g.selLen = n
+    n > 0
+  }
 
   private final class LScan(step: ScanStep, n: Int, chunk: Chunk,
                             blockSize: Int, lo: Int, hi: Int) extends Op {
@@ -239,7 +250,8 @@ object Lbp {
 
   /** n-n / 1-n join: flattens the input group and emits the adjacency list
     * of each input value as a new unflat group whose blocks point into the
-    * CSR (no materialization).
+    * CSR (no materialization). The bounds of every list of an input block
+    * come from one `CsrOffsets.ranges` call.
     */
   private final class LListExtend(child: Op, step: ExtendStep, chunk: Chunk) extends Op {
     private val adj = step.adj.asInstanceOf[CsrAdjacency]
@@ -250,6 +262,10 @@ object Lbp {
     chunk.vGroup(step.toSlot) = gi
     if (step.eSlot >= 0) chunk.eGroup(step.eSlot) = gi
     private var buf = new Array[Int](1024)
+    // The input block's owners and their list bounds (start -1: empty).
+    private var owners = new Array[Long](1024)
+    private var starts = new Array[Int](1024)
+    private var ends = new Array[Int](1024)
     private var inPos = 0
     private var inLen = 0
     private var inWasFlat = false
@@ -274,26 +290,37 @@ object Lbp {
 
     def open(): Unit = { child.open(); inPos = 0; inLen = 0 }
 
+    /** Read the next input block's owners and the bounds of their lists. */
+    private def nextInput(): Boolean = {
+      if (!child.next()) return false
+      inWasFlat = inG.curIdx >= 0
+      inLen = if (inWasFlat) 1 else inG.numPos
+      inPos = 0
+      if (owners.length < inLen) {
+        owners = new Array[Long](capacity(inLen))
+        starts = new Array[Int](owners.length)
+        ends = new Array[Int](owners.length)
+      }
+      val rd = chunk.vReader(step.fromSlot)
+      if (inWasFlat) owners(0) = rd.get(inG.curIdx) else rd.gather(inG.sel, inLen, owners)
+      adj.offsets.ranges(owners, inLen, starts, ends)
+      true
+    }
+
     def next(): Boolean = {
       while (true) {
-        if (inPos >= inLen) {
-          if (!child.next()) return false
-          inWasFlat = inG.curIdx >= 0
-          inLen = if (inWasFlat) 1 else inG.numPos
-          inPos = 0
-        }
-        if (!inWasFlat) inG.curIdx = inG.posAt(inPos) // flatten step by step
+        if (inPos >= inLen && !nextInput()) return false
+        val i = inPos
         inPos += 1
-        val own = chunk.vReader(step.fromSlot).get(inG.curIdx)
-        val s = adj.start(own.toInt)
+        if (!inWasFlat) inG.curIdx = inG.posAt(i) // flatten step by step
+        val s = starts(i)
         if (s >= 0) {
-          val e = adj.end(own.toInt)
-          g.size = e - s
+          g.size = ends(i) - s
           g.sel = null
           g.curIdx = -1
-          if (buf.length < g.size) buf = new Array[Int](Integer.highestOneBit(g.size - 1) << 1)
+          if (buf.length < g.size) buf = new Array[Int](capacity(g.size))
           nbrReader.off = s
-          if (edgeReader != null) edgeReader.point(s, own)
+          if (edgeReader != null) edgeReader.point(s, owners(i))
           if (filterGroup(step.preds, gi, g, buf, chunk)) return true
         }
       }
@@ -311,48 +338,51 @@ object Lbp {
     private val g = chunk.groups(gi)
     chunk.vGroup(step.toSlot) = gi
     if (step.eSlot >= 0) chunk.eGroup(step.eSlot) = gi
-    private var scratch = new Array[Long](1024)
-    private var hScratch: Array[Long] = null
+    // Owner-column edge properties: the handle is the owner (the input
+    // vertex) or the neighbour, so the edge slot reuses one of their readers.
+    private val handleIsOwner = step.eSlot >= 0 && (step.props match {
+      case owner: VColOwnerEdgeProps => owner.ownerIsSrc == step.forward
+      case other => throw new IllegalStateException(s"LBP reads no edge properties from $other")
+    })
+    private var nbrs = new Array[Long](1024)     // by position
+    private var gathered = new Array[Long](1024) // by index into the selection
     private var selBuf = new Array[Int](1024)
     private val flatNbr = new ConstReader
-    private val flatHandle = new ConstReader
-    private val scratchReader = new ScratchReader
-    private val hScratchReader = new ScratchReader
+    private val nbrReader = new ScratchReader
 
     def open(): Unit = child.open()
+
+    /** Point the neighbour slot, and the edge slot if any, at `nbr`. */
+    private def bind(nbr: LongReader): Unit = {
+      chunk.vReader(step.toSlot) = nbr
+      if (step.eSlot >= 0) chunk.eReader(step.eSlot) = if (handleIsOwner) chunk.vReader(step.fromSlot) else nbr
+    }
 
     def next(): Boolean = {
       while (child.next()) {
         if (g.curIdx >= 0) {
-          val own = chunk.vReader(step.fromSlot).get(g.curIdx)
-          val nbr = adj.nbr(own.toInt)
+          val nbr = adj.nbr(chunk.vReader(step.fromSlot).get(g.curIdx).toInt)
           if (nbr != Values.Null) {
             flatNbr.value = nbr
-            chunk.vReader(step.toSlot) = flatNbr
-            if (step.eSlot >= 0) {
-              flatHandle.value = step.props.handle(own, nbr, 0L, step.forward)
-              chunk.eReader(step.eSlot) = flatHandle
-            }
+            bind(flatNbr)
             if (filterGroup(step.preds, gi, g, selBuf, chunk)) return true
           }
         } else {
-          if (scratch.length < g.size) {
-            val cap = Integer.highestOneBit(g.size - 1) << 1
-            scratch = new Array[Long](cap)
-            selBuf = new Array[Int](cap)
-            if (hScratch != null) hScratch = new Array[Long](cap)
+          if (nbrs.length < g.size) {
+            nbrs = new Array[Long](capacity(g.size))
+            gathered = new Array[Long](nbrs.length)
+            selBuf = new Array[Int](nbrs.length)
           }
-          if (step.eSlot >= 0 && hScratch == null) hScratch = new Array[Long](scratch.length)
           val nPos = g.numPos
+          chunk.vReader(step.fromSlot).gather(g.sel, nPos, gathered)
+          adj.col.gather(gathered, nPos, gathered)
           var n = 0
           var i = 0
           while (i < nPos) {
-            val p = g.posAt(i)
-            val own = chunk.vReader(step.fromSlot).get(p)
-            val nbr = adj.nbr(own.toInt)
+            val nbr = gathered(i)
             if (nbr != Values.Null) {
-              scratch(p) = nbr
-              if (hScratch != null) hScratch(p) = step.props.handle(own, nbr, 0L, step.forward)
+              val p = g.posAt(i)
+              nbrs(p) = nbr
               selBuf(n) = p
               n += 1
             }
@@ -360,9 +390,8 @@ object Lbp {
           }
           g.sel = selBuf
           g.selLen = n
-          scratchReader.a = scratch
-          chunk.vReader(step.toSlot) = scratchReader
-          if (step.eSlot >= 0) { hScratchReader.a = hScratch; chunk.eReader(step.eSlot) = hScratchReader }
+          nbrReader.a = nbrs
+          bind(nbrReader)
           if (n > 0 && filterGroup(step.preds, gi, g, selBuf, chunk)) return true
         }
       }
@@ -381,7 +410,7 @@ object Lbp {
     */
   def countRange(store: GraphStore, plan: Plan, lo: Int, hi: Int, blockSize: Int = 1024): Long = {
     require(store.columnar, "LBP runs on columnar stores (GF-CL / GF-CV storage)")
-    val chunk = new Chunk(plan.numVSlots, plan.numESlots)
+    val chunk = new Chunk(plan.numVSlots, plan.numESlots, 1 + plan.extendSteps.count(!_.single))
     var op: Op = new LScan(plan.scan, store.vertexCounts(plan.scan.label), chunk, blockSize, lo, hi)
     plan.extendSteps.foreach { s =>
       op = if (s.single) new LColumnExtend(op, s, chunk) else new LListExtend(op, s, chunk)

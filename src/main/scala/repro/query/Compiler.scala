@@ -14,19 +14,24 @@ trait ReadCtx {
 }
 
 /** An operand resolved against the store: which tuple slot it reads
-  * (vertex offset or edge handle) and the storage access from that value
-  * to the property's Long (numeric or dictionary code).
+  * (vertex offset or edge handle) and property `prop` of the store that
+  * value indexes (a numeric or a dictionary code). Volcano reads it per
+  * tuple through `access`; LBP reads a block of handles at once (`gather`).
   */
-final class OperandRef(val isEdge: Boolean, val slot: Int, val access: Long => Long)
+final class OperandRef(val isEdge: Boolean, val slot: Int, props: PropertyStore, prop: Int)
     extends Serializable {
+  val access: Long => Long = props.reader(prop)
   def read(ctx: ReadCtx): Long = access(if (isEdge) ctx.e(slot) else ctx.v(slot))
+  /** `out(i)` = the property at handle `handles(i)`, for i < n (`out` may be `handles`). */
+  def gather(handles: Array[Long], n: Int, out: Array[Long]): Unit = props.gatherLong(prop, handles, n, out)
 }
 
 /** A predicate compiled once against one [[GraphStore]], in the one form
-  * both processors use: Volcano calls `eval` per tuple; LBP reads the
-  * operand fields and runs the same comparison in a tight loop over a
-  * block (paper §6.2, Filter). On columnar stores string tests are
-  * translated to dictionary codes here, so no processor decodes (§5.1).
+  * both processors use: Volcano calls `eval` per tuple; LBP gathers a
+  * block of operand values and runs the same comparison with the block
+  * primitives of [[CmpOp]] (paper §6.2, Filter). On columnar stores
+  * string tests are translated to dictionary codes here, so no processor
+  * decodes (§5.1).
   * NULL operands fail every predicate.
   */
 sealed abstract class CompiledPred extends Serializable {
@@ -180,7 +185,7 @@ private final class PredCompiler(q: Query, store: GraphStore,
 
   private def ref(o: Operand): OperandRef = {
     val (props, pi) = resolve(o)
-    new OperandRef(o.isEdge, slotOf(o), props.reader(pi))
+    new OperandRef(o.isEdge, slotOf(o), props, pi)
   }
 
   private def dictOf(o: Operand): Dictionary = {

@@ -1,5 +1,7 @@
 package repro.query
 
+import repro.core.Values
+
 import scala.annotation.switch
 
 /** Engine-neutral query model: a subgraph pattern (the joins), a
@@ -39,6 +41,64 @@ object CmpOp {
     case 3 => a >= b
     case 4 => a == b
     case _ => a != b
+  }
+
+  // Selection primitives (MonetDB/X100-style): one tight loop per operator,
+  // with the operator switch hoisted out of the loops. Value i is at
+  // position pos(i), or at i when `pos` is null; the positions that pass
+  // go to `out`, in order, and the count is returned. NULL fails every
+  // comparison, as in `holds`. Each loop stores every position and advances
+  // the output count by the test's outcome, with no branch on the data
+  // (Ross, "Selection conditions in main memory", TODS 2004): `out` must
+  // hold n entries, and may be `pos` (writes trail reads).
+
+  @inline private def at(pos: Array[Int], i: Int): Int = if (pos == null) i else pos(i)
+  @inline private def one(pass: Boolean): Int = if (pass) 1 else 0
+
+  /** Positions of `xs(i) op b`, for i < n. */
+  def select(code: Int, xs: Array[Long], n: Int, b: Long, pos: Array[Int], out: Array[Int]): Int = {
+    if (b == Values.Null) return 0
+    val Null = Values.Null
+    var k = 0
+    var i = 0
+    (code: @switch) match {
+      case 0 => while (i < n) { val x = xs(i); out(k) = at(pos, i); k += one((x != Null) & (x < b)); i += 1 }
+      case 1 => while (i < n) { val x = xs(i); out(k) = at(pos, i); k += one((x != Null) & (x <= b)); i += 1 }
+      case 2 => while (i < n) { val x = xs(i); out(k) = at(pos, i); k += one(x > b); i += 1 }
+      case 3 => while (i < n) { val x = xs(i); out(k) = at(pos, i); k += one(x >= b); i += 1 }
+      case 4 => while (i < n) { val x = xs(i); out(k) = at(pos, i); k += one(x == b); i += 1 }
+      case _ => while (i < n) { val x = xs(i); out(k) = at(pos, i); k += one((x != Null) & (x != b)); i += 1 }
+    }
+    k
+  }
+
+  /** Positions of `xs(i) op ys(i)`, for i < n (both operands per position). */
+  def selectPairs(code: Int, xs: Array[Long], ys: Array[Long], n: Int,
+                  pos: Array[Int], out: Array[Int]): Int = {
+    val Null = Values.Null
+    var k = 0
+    var i = 0
+    while (i < n) {
+      val x = xs(i)
+      val y = ys(i)
+      out(k) = at(pos, i)
+      k += one((x != Null) & (y != Null) && holds(code, x, y))
+      i += 1
+    }
+    k
+  }
+
+  /** Positions of the `xs(i)` found in the sorted `codes`, for i < n. */
+  def selectIn(codes: Array[Long], xs: Array[Long], n: Int, pos: Array[Int], out: Array[Int]): Int = {
+    var k = 0
+    var i = 0
+    while (i < n) {
+      val x = xs(i)
+      out(k) = at(pos, i)
+      k += one(x != Values.Null && java.util.Arrays.binarySearch(codes, x) >= 0)
+      i += 1
+    }
+    k
   }
 }
 

@@ -14,6 +14,10 @@ sealed trait CsrOffsets extends Serializable {
   def start(v: Int): Int
   def end(v: Int): Int
   def isEmptyList(v: Int): Boolean
+  /** The lists of vertices `vs(0 until n)` in one call: `starts(i)` is -1
+    * for an empty list, otherwise its start slot, and `ends(i)` its end.
+    */
+  def ranges(vs: Array[Long], n: Int, starts: Array[Int], ends: Array[Int]): Unit
   def bytes: Long
 }
 
@@ -22,6 +26,12 @@ final class PlainOffsets(off: ByteWidthArray) extends CsrOffsets {
   def start(v: Int): Int = off.get(v).toInt
   def end(v: Int): Int = off.get(v + 1).toInt
   def isEmptyList(v: Int): Boolean = off.get(v) == off.get(v + 1)
+  /** Two offset reads per list. */
+  def ranges(vs: Array[Long], n: Int, starts: Array[Int], ends: Array[Int]): Unit = {
+    var i = 0
+    while (i < n) { starts(i) = vs(i).toInt; i += 1 }
+    off.ranges(starts, n, starts, ends)
+  }
   def bytes: Long = off.bytes
 }
 
@@ -29,12 +39,22 @@ final class PlainOffsets(off: ByteWidthArray) extends CsrOffsets {
   * then the total, which is never NULL, so `end(v)` of a non-empty list is
   * always the next packed entry.
   */
-final class CompressedOffsets(idx: JacobsonIndex, starts: ByteWidthArray) extends CsrOffsets {
+final class CompressedOffsets(idx: JacobsonIndex, packed: ByteWidthArray) extends CsrOffsets {
   def numVertices: Int = idx.length - 1
-  def start(v: Int): Int = starts.get(idx.rank(v).toInt).toInt
-  def end(v: Int): Int = starts.get(idx.rank(v).toInt + 1).toInt
+  def start(v: Int): Int = packed.get(idx.rank(v).toInt).toInt
+  def end(v: Int): Int = packed.get(idx.rank(v).toInt + 1).toInt
   def isEmptyList(v: Int): Boolean = !idx.isSet(v)
-  def bytes: Long = idx.bytes + starts.bytes
+  /** One rank per non-empty list, then two reads of the packed starts. */
+  def ranges(vs: Array[Long], n: Int, starts: Array[Int], ends: Array[Int]): Unit = {
+    var i = 0
+    while (i < n) {
+      val v = vs(i).toInt
+      starts(i) = if (idx.isSet(v)) idx.rank(v).toInt else -1
+      i += 1
+    }
+    packed.ranges(starts, n, starts, ends)
+  }
+  def bytes: Long = idx.bytes + packed.bytes
 }
 
 /** Engine-facing adjacency index for one (edge label, direction). */

@@ -35,7 +35,7 @@ sealed abstract class EdgeProps extends Serializable {
   */
 final class PropertyPages(
     val k: Int,
-    pageBases: ByteWidthArray, // numPages + 1
+    bases: ByteWidthArray, // numPages + 1
     val store: PropertyStore
 ) extends EdgeProps {
   // src / k as a shift when k is a power of two (the default 128 is) —
@@ -45,18 +45,26 @@ final class PropertyPages(
   @inline private def pageOf(src: Long): Int =
     if (kShift >= 0) (src >> kShift).toInt else (src / k).toInt
 
-  @inline def slot(src: Long, pagePos: Long): Long = pageBases.get(pageOf(src)) + pagePos
+  @inline def slot(src: Long, pagePos: Long): Long = bases.get(pageOf(src)) + pagePos
 
   def handle(own: Long, nbr: Long, ev: Long, forward: Boolean): Long =
     if (forward) slot(own, ev) else slot(nbr, ev)
 
-  override def bytes: Long = pageBases.bytes + super.bytes
+  override def bytes: Long = bases.bytes + super.bytes
 
   /** Base slot of the page containing src vertex `src` (used by vectorized
     * readers to turn a whole adjacency list's page offsets into slots with
     * one base lookup).
     */
-  @inline def pageBase(src: Long): Long = pageBases.get(pageOf(src))
+  @inline def pageBase(src: Long): Long = bases.get(pageOf(src))
+
+  /** `out(i) = pageBase(srcs(i))` for i < n, in one loop; `out` may be `srcs`. */
+  def pageBases(srcs: Array[Long], n: Int, out: Array[Long]): Unit = {
+    var i = 0
+    if (kShift >= 0) while (i < n) { out(i) = srcs(i) >> kShift; i += 1 }
+    else while (i < n) { out(i) = srcs(i) / k; i += 1 }
+    bases.gatherAt(out, n, out)
+  }
 }
 
 /** Edge properties indexed by a global edge ID (the paper's pre-NEW-IDS

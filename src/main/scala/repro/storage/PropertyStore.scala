@@ -14,6 +14,14 @@ trait PropertyStore extends Serializable {
   def getString(entity: Int, p: Int): String
   /** `getLong` with property `p` bound once: compiled predicates' accessor. */
   def reader(p: Int): Long => Long
+  /** `out(i) = getLong(handles(i), p)` for i < n: the block read of LBP's
+    * filters (`out` may be `handles`). Columns override it with one loop
+    * per column class.
+    */
+  def gatherLong(p: Int, handles: Array[Long], n: Int, out: Array[Long]): Unit = {
+    var i = 0
+    while (i < n) { out(i) = getLong(handles(i).toInt, p); i += 1 }
+  }
   /** Dictionary of string property `p`; null for numerics and for rows. */
   def dict(p: Int): Dictionary
   def bytes: Long

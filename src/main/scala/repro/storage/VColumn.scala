@@ -13,6 +13,8 @@ sealed trait VColumn extends Serializable {
 
   /** Value at offset `v`, or [[Values.Null]]. Constant time. */
   def get(v: Int): Long
+  /** `out(i) = get(idx(i))` for i < n, in one loop; `out` may be `idx`. */
+  def gather(idx: Array[Long], n: Int, out: Array[Long]): Unit
   def bytes: Long
 }
 
@@ -25,6 +27,13 @@ final class PlainVColumn(values: ByteWidthArray, sentinel: Long) extends VColumn
     val x = values.get(v)
     if (x == sentinel) Values.Null else x
   }
+  def gather(idx: Array[Long], n: Int, out: Array[Long]): Unit = {
+    values.gatherAt(idx, n, out)
+    if (sentinel >= 0) {
+      var i = 0
+      while (i < n) { if (out(i) == sentinel) out(i) = Values.Null; i += 1 }
+    }
+  }
   def bytes: Long = values.bytes
 }
 
@@ -32,6 +41,7 @@ final class PlainVColumn(values: ByteWidthArray, sentinel: Long) extends VColumn
 final class CompressedVColumn(col: NullCompressedColumn) extends VColumn {
   def length: Int = col.length
   def get(v: Int): Long = col.get(v)
+  def gather(idx: Array[Long], n: Int, out: Array[Long]): Unit = col.gather(idx, n, out)
   def bytes: Long = col.bytes
 }
 
@@ -91,6 +101,8 @@ final class ColumnSet(
     val col = cols(p)
     h => col.get(h.toInt)
   }
+  override def gatherLong(p: Int, handles: Array[Long], n: Int, out: Array[Long]): Unit =
+    cols(p).gather(handles, n, out)
   def dict(p: Int): Dictionary = dicts(p)
   def bytes: Long = cols.map(_.bytes).sum + dicts.iterator.filter(_ != null).map(_.bytes).sum
 }

@@ -16,6 +16,24 @@ sealed trait ByteWidthArray extends Serializable {
   /** Value at position `i` (always widened back to Long). */
   def get(i: Int): Long
 
+  // Block primitives (MonetDB/X100-style): each width class runs its own
+  // tight loop, so `get` inside it is monomorphic and the virtual dispatch
+  // happens once per block, not once per element.
+
+  /** `out(i) = get(base + sel(i))` for i < n, or `get(base + i)` when
+    * `sel` is null.
+    */
+  def gather(base: Int, sel: Array[Int], n: Int, out: Array[Long]): Unit
+
+  /** `out(i) = get(idx(i))` for i < n; `out` may be `idx`. */
+  def gatherAt(idx: Array[Long], n: Int, out: Array[Long]): Unit
+
+  /** The ranges [get(j), get(j + 1)) at j = idx(i), for i < n: `starts(i)`
+    * is -1 when the range is empty or j is negative, otherwise `get(j)`,
+    * and `ends(i)` is `get(j + 1)`. `starts` may be `idx`.
+    */
+  def ranges(idx: Array[Int], n: Int, starts: Array[Int], ends: Array[Int]): Unit
+
   /** Encoded width in bytes per element (1, 2, 4 or 8). */
   def width: Int
 
@@ -30,21 +48,93 @@ object ByteWidthArray {
   private final class W1(a: Array[Byte]) extends ByteWidthArray {
     def length: Int = a.length
     def get(i: Int): Long = java.lang.Byte.toUnsignedLong(a(i))
+    def gather(base: Int, sel: Array[Int], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      if (sel == null) while (i < n) { out(i) = get(base + i); i += 1 }
+      else while (i < n) { out(i) = get(base + sel(i)); i += 1 }
+    }
+    def gatherAt(idx: Array[Long], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      while (i < n) { out(i) = get(idx(i).toInt); i += 1 }
+    }
+    def ranges(idx: Array[Int], n: Int, starts: Array[Int], ends: Array[Int]): Unit = {
+      var i = 0
+      while (i < n) {
+        val j = idx(i)
+        if (j < 0) starts(i) = -1
+        else { val s = get(j).toInt; val e = get(j + 1).toInt; starts(i) = if (s == e) -1 else s; ends(i) = e }
+        i += 1
+      }
+    }
     def width: Int = 1
   }
   private final class W2(a: Array[Short]) extends ByteWidthArray {
     def length: Int = a.length
     def get(i: Int): Long = java.lang.Short.toUnsignedLong(a(i))
+    def gather(base: Int, sel: Array[Int], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      if (sel == null) while (i < n) { out(i) = get(base + i); i += 1 }
+      else while (i < n) { out(i) = get(base + sel(i)); i += 1 }
+    }
+    def gatherAt(idx: Array[Long], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      while (i < n) { out(i) = get(idx(i).toInt); i += 1 }
+    }
+    def ranges(idx: Array[Int], n: Int, starts: Array[Int], ends: Array[Int]): Unit = {
+      var i = 0
+      while (i < n) {
+        val j = idx(i)
+        if (j < 0) starts(i) = -1
+        else { val s = get(j).toInt; val e = get(j + 1).toInt; starts(i) = if (s == e) -1 else s; ends(i) = e }
+        i += 1
+      }
+    }
     def width: Int = 2
   }
   private final class W4(a: Array[Int]) extends ByteWidthArray {
     def length: Int = a.length
     def get(i: Int): Long = java.lang.Integer.toUnsignedLong(a(i))
+    def gather(base: Int, sel: Array[Int], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      if (sel == null) while (i < n) { out(i) = get(base + i); i += 1 }
+      else while (i < n) { out(i) = get(base + sel(i)); i += 1 }
+    }
+    def gatherAt(idx: Array[Long], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      while (i < n) { out(i) = get(idx(i).toInt); i += 1 }
+    }
+    def ranges(idx: Array[Int], n: Int, starts: Array[Int], ends: Array[Int]): Unit = {
+      var i = 0
+      while (i < n) {
+        val j = idx(i)
+        if (j < 0) starts(i) = -1
+        else { val s = get(j).toInt; val e = get(j + 1).toInt; starts(i) = if (s == e) -1 else s; ends(i) = e }
+        i += 1
+      }
+    }
     def width: Int = 4
   }
   private final class W8(a: Array[Long]) extends ByteWidthArray {
     def length: Int = a.length
     def get(i: Int): Long = a(i)
+    def gather(base: Int, sel: Array[Int], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      if (sel == null) while (i < n) { out(i) = get(base + i); i += 1 }
+      else while (i < n) { out(i) = get(base + sel(i)); i += 1 }
+    }
+    def gatherAt(idx: Array[Long], n: Int, out: Array[Long]): Unit = {
+      var i = 0
+      while (i < n) { out(i) = get(idx(i).toInt); i += 1 }
+    }
+    def ranges(idx: Array[Int], n: Int, starts: Array[Int], ends: Array[Int]): Unit = {
+      var i = 0
+      while (i < n) {
+        val j = idx(i)
+        if (j < 0) starts(i) = -1
+        else { val s = get(j).toInt; val e = get(j + 1).toInt; starts(i) = if (s == e) -1 else s; ends(i) = e }
+        i += 1
+      }
+    }
     def width: Int = 8
   }
 

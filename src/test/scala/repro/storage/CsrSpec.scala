@@ -29,6 +29,30 @@ class CsrSpec extends SparkSpec {
     }
   }
 
+  for {
+    nullCompress <- Seq(false, true)
+    lastEmpty <- Seq(false, true)
+  } test(s"ranges matches isEmptyList/start/end (compress=$nullCompress, last list empty=$lastEmpty)") {
+    val lens = lensOf(3000, 0.5, seed = 7)
+    lens(lens.length - 1) = if (lastEmpty) 0 else 4
+    val off = CsrAdjacency.buildOffsets(lens, suppress = true, nullCompress = nullCompress,
+      threshold = 0.05, c = 16, m = 16)
+    assert(off.isInstanceOf[CompressedOffsets] == nullCompress)
+    // Every vertex once, in a shuffled order, then the last vertex again.
+    val vs = (new scala.util.Random(3).shuffle(lens.indices.toVector) :+ (lens.length - 1)).map(_.toLong).toArray
+    val starts = new Array[Int](vs.length)
+    val ends = new Array[Int](vs.length)
+    off.ranges(vs, vs.length, starts, ends)
+    vs.indices.foreach { i =>
+      val v = vs(i).toInt
+      if (off.isEmptyList(v)) assert(starts(i) == -1, s"empty list of $v")
+      else {
+        assert(starts(i) == off.start(v), s"start of $v")
+        assert(ends(i) == off.end(v), s"end of $v")
+      }
+    }
+  }
+
   test("nullCompress triggers CompressedOffsets only above the threshold") {
     val dense = CsrAdjacency.buildOffsets(lensOf(1000, 0.01, 1), suppress = true,
       nullCompress = true, threshold = 0.05, c = 16, m = 16)

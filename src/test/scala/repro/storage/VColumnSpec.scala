@@ -18,6 +18,11 @@ class VColumnSpec extends SparkSpec {
     val d = dense(5000, nullFrac, 1000, seed = (nullFrac * 100).toInt + (if (suppress) 1 else 0))
     val col = VColumn(d, suppress, nullCompress)
     d.indices.foreach(i => assert(col.get(i) == d(i), s"at $i"))
+    // The block read, in place over shuffled handles, through the store.
+    val handles = new scala.util.Random(5).shuffle(d.indices.toVector).map(_.toLong).toArray
+    val values = handles.clone
+    new ColumnSet(Array(col), Array(null)).gatherLong(0, values, values.length, values)
+    handles.indices.foreach(i => assert(values(i) == d(handles(i).toInt), s"gathered at $i"))
   }
 
   test("compression engages only above the null threshold") {

@@ -33,6 +33,42 @@ class ByteWidthArraySpec extends SparkSpec {
     }
   }
 
+  for (width <- Seq(1, 2, 4, 8)) {
+    test(s"gather and gatherAt match get at width $width") {
+      val rnd = new scala.util.Random(width)
+      val vals = Array.fill(300)(if (width == 8) rnd.nextLong() & Long.MaxValue else rnd.nextLong() >>> (64 - 8 * width))
+      val a = ByteWidthArray.at(vals, width)
+      val base = 17
+      // With a selection vector (increasing positions past `base`) and without.
+      val sel = Array.tabulate(60)(i => 2 * i + i % 3)
+      val out = new Array[Long](sel.length)
+      a.gather(base, sel, sel.length, out)
+      sel.indices.foreach(i => assert(out(i) == a.get(base + sel(i)), s"sel at $i"))
+      a.gather(base, null, 50, out)
+      (0 until 50).foreach(i => assert(out(i) == a.get(base + i), s"dense at $i"))
+      // Random indices, into a fresh array and in place (out == idx).
+      val idx = Array.fill(100)(rnd.nextInt(vals.length).toLong)
+      val at = new Array[Long](idx.length)
+      a.gatherAt(idx, idx.length, at)
+      idx.indices.foreach(i => assert(at(i) == vals(idx(i).toInt), s"gatherAt at $i"))
+      val inPlace = idx.clone
+      a.gatherAt(inPlace, 90, inPlace)
+      assert(inPlace.take(90).toSeq == at.take(90).toSeq)
+      assert(inPlace.drop(90).toSeq == idx.drop(90).toSeq, "gatherAt writes only the first n")
+    }
+  }
+
+  test("ranges reads consecutive pairs; empty ranges and negative indices start at -1") {
+    for (width <- Seq(1, 2, 4, 8)) {
+      val a = ByteWidthArray.at(Array(0L, 2L, 2L, 5L), width)
+      val idx = Array(0, 1, 2, -1)
+      val ends = new Array[Int](4)
+      a.ranges(idx, 4, idx, ends) // in place: starts == idx
+      assert(idx.toSeq == Seq(0, -1, 2, -1), s"width $width")
+      assert(ends(0) == 2 && ends(2) == 5, s"width $width")
+    }
+  }
+
   test("apply picks the minimal width for the content") {
     assert(ByteWidthArray(Array(0L, 200L)).width == 1)
     assert(ByteWidthArray(Array(0L, 60000L)).width == 2)
