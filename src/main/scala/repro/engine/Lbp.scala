@@ -10,7 +10,8 @@ import repro.util.ByteWidthArray
   * list of tuples); blocks have variable lengths equal to adjacency-list
   * lengths and point directly into the CSR arrays instead of materializing
   * lists (ListExtend), and `count(*)` multiplies group sizes instead of
-  * enumerating tuples (§6.2).
+  * enumerating tuples (§6.2). When the last ListExtend has no predicates,
+  * its lists are not visited at all; only their lengths are summed.
   */
 object Lbp {
 
@@ -132,6 +133,17 @@ object Lbp {
       while (i < groups.length) { prod *= groups(i).tupleCount; i += 1 }
       prod
     }
+
+    /** The product of every group's size but groups `a` and `b`. */
+    def tupleCountExcept(a: Int, b: Int): Long = {
+      var prod = 1L
+      var i = 0
+      while (i < groups.length) {
+        if (i != a && i != b) prod *= groups(i).tupleCount
+        i += 1
+      }
+      prod
+    }
   }
 
   /** The power of two at or above `n`: how scratch arrays grow. */
@@ -251,9 +263,11 @@ object Lbp {
   /** n-n / 1-n join: flattens the input group and emits the adjacency list
     * of each input value as a new unflat group whose blocks point into the
     * CSR (no materialization). The bounds of every list of an input block
-    * come from one `CsrOffsets.ranges` call.
+    * come from one `CsrOffsets.ranges` call. As a plan's last step with no
+    * predicates of its own it is the counting tail (`countAll`): it emits
+    * no list and sums their lengths instead.
     */
-  private final class LListExtend(child: Op, step: ExtendStep, chunk: Chunk) extends Op {
+  private final class LListExtend(child: Op, val step: ExtendStep, chunk: Chunk) extends Op {
     private val adj = step.adj.asInstanceOf[CsrAdjacency]
     private val inGi = chunk.vGroup(step.fromSlot)
     private val inG = chunk.groups(inGi)
@@ -325,6 +339,27 @@ object Lbp {
         }
       }
       false
+    }
+
+    /** count(*) of the plan this step ends, which must have no predicates
+      * of its own: per input block, the summed lengths of its non-empty
+      * lists times the product of every other group's size (factorized
+      * aggregation, paper §6.2). The input group stays unflat, and no list
+      * becomes a chunk state.
+      */
+    def countAll(): Long = {
+      var total = 0L
+      while (nextInput()) {
+        var lens = 0L
+        var i = 0
+        while (i < inLen) {
+          val s = starts(i)
+          if (s >= 0) lens += ends(i) - s
+          i += 1
+        }
+        if (lens > 0) total += lens * chunk.tupleCountExcept(inGi, gi)
+      }
+      total
     }
   }
 
@@ -406,7 +441,12 @@ object Lbp {
     countRange(store, plan, 0, store.vertexCounts(plan.scan.label), blockSize)
 
   /** Count over a sub-range of the scan — the unit of parallelism for
-    * [[repro.spark.ParallelRunner]].
+    * [[repro.spark.ParallelRunner]]. When the plan's last step is a
+    * ListExtend without predicates, that step is the counting tail: it sums
+    * the lengths of each input block's lists (`LListExtend.countAll`)
+    * instead of emitting them. Every other plan (a last step with
+    * predicates, a last ColumnExtend, a scan alone) adds the product of
+    * group sizes per chunk state.
     */
   def countRange(store: GraphStore, plan: Plan, lo: Int, hi: Int, blockSize: Int = 1024): Long = {
     require(store.columnar, "LBP runs on columnar stores (GF-CL / GF-CV storage)")
@@ -416,9 +456,13 @@ object Lbp {
       op = if (s.single) new LColumnExtend(op, s, chunk) else new LListExtend(op, s, chunk)
     }
     op.open()
-    var total = 0L
-    while (op.next()) total += chunk.tupleCount
-    total
+    op match {
+      case tail: LListExtend if tail.step.preds.isEmpty => tail.countAll()
+      case _ =>
+        var total = 0L
+        while (op.next()) total += chunk.tupleCount
+        total
+    }
   }
 
   def count(store: GraphStore, q: Query): Long = count(store, Compiler.compile(q, store))
