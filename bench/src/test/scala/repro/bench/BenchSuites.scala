@@ -12,6 +12,7 @@ import repro.exp._
 class Table2MemoryBench extends SparkSpec {
   test("Table 2: memory shrinks along GF-RV -> GF-CL on LDBC-lite and IMDb-lite") {
     val results = Table2Memory.runAll(spark)
+    results.foreach(Table2Memory.render)
     results.foreach { r =>
       val total = r.row("Total")
       total.bytesPerConfig.sliding(2).foreach { case Seq(a, b) =>
@@ -31,6 +32,9 @@ class Table3PropPagesBench extends SparkSpec {
   test("Table 3: forward plans over property pages beat edge columns") {
     val r = Table3PropPages.run(spark)
     Table3PropPages.render(r)
+    // Every cell's plans agreed on its count; an empty cell measures nothing.
+    val empty = r.cells.filter(_.count == 0).map(c => s"${c.dataset} ${c.hops}H").distinct
+    assert(empty.isEmpty, s"empty: $empty")
     val datasets = Seq("LDBC", "WIKI", "FLICKR")
     // Paper: forward PAGE_P is 1.9x–4.7x faster than forward COL_E.
     val fwd2H = datasets.map(ds => r.ms(ds, "P_F", "COL_E", 2).median / r.ms(ds, "P_F", "PAGE_P", 2).median)
@@ -45,6 +49,8 @@ class Table4SingleCardBench extends SparkSpec {
   test("Table 4: vertex columns beat CSR for single-cardinality edges") {
     val r = Table4SingleCard.run(spark)
     Table4SingleCard.render(r)
+    // Every hop count's configs agreed on its count; an empty one measures nothing.
+    assert(r.counts.forall(_ > 0), s"counts per hop: ${r.counts}")
     // Paper: 1.62x/1.57x/1.64x uncompressed, 1.49x/1.26x/1.34x compressed.
     (0 until 3).foreach { h =>
       assert(r.row("CSR-UNC").ms(h).median / r.row("V-COL-UNC").ms(h).median > 1.05,
@@ -61,6 +67,9 @@ class Table5LbpBench extends SparkSpec {
   test("Table 5: LBP beats Volcano, most at multi-hop COUNT(*)") {
     val r = Table5Lbp.run(spark)
     Table5Lbp.render(r)
+    // Every cell's processors agreed on its count; an empty cell measures nothing.
+    val empty = r.cells.filter(_.count == 0).map(c => s"${c.dataset} ${c.kind} ${c.hops}-hop")
+    assert(empty.isEmpty, s"empty: $empty")
     for (ds <- Seq("LDBC", "FLICKR", "WIKI"); h <- 2 to 3) {
       assert(r.cell(ds, "FILTER", h).speedup > 1.1,
         s"$ds FILTER ${h}-hop speedup ${r.cell(ds, "FILTER", h).speedup} (paper: 3.8x–15.2x)")

@@ -53,6 +53,16 @@ object SqlBaseline {
     conn
   }
 
+  /** The number of threads DuckDB runs a query on. */
+  def duckThreads(conn: Connection): String = {
+    val stmt = conn.createStatement()
+    try {
+      val rs = stmt.executeQuery("SELECT current_setting('threads')")
+      rs.next()
+      rs.getString(1)
+    } finally stmt.close()
+  }
+
   def duckCount(conn: Connection, q: Query): Long = {
     val stmt = conn.createStatement()
     try {

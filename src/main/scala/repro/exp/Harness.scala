@@ -11,14 +11,19 @@ object Scale {
   def flickrNodes: Long = sc(60000)
   def wikiNodes: Long = sc(10000)
   def imdbTitles: Long = sc(25000)
-  // Larger than the LLC so random accesses miss, as on the paper's 220M-row
-  // column — the J-NULL vs uncompressed gap hides under DRAM latency.
+  // Table 7's column: 8M entries of 4 bytes, 32 MB at scale 1. The paper's
+  // 220M-row column misses the LLC; this one fits the 105 MiB L3 of the
+  // 4-vCPU Xeon host it was measured on, so there the J-NULL vs
+  // uncompressed gap is a cache-resident one.
   def nullColumnSize: Int = sc(8000000).toInt
   def nullColumnAccesses: Int = sc(2000000).toInt
 
-  // Table 3 runs only 1-/2-hop queries, so it can afford graphs whose
-  // property arrays exceed the LLC — required to expose the sequential-vs-
-  // random access gap the paper measures on LDBC100-sized data.
+  // Table 3 runs only 1-/2-hop queries, so it affords larger graphs than
+  // Table 5. At scale 1 their GF-CL edge-property arrays hold 8.3 MB (LDBC
+  // `knows`, 2.08M edges), 24.0 MB (WIKI, 5.99M) and 18.8 MB (FLICKR,
+  // 4.71M): all fit the 105 MiB L3 of the 4-vCPU Xeon host they were
+  // measured on, unlike the paper's LDBC100-sized data, whose random reads
+  // miss it.
   def t3LdbcPersons: Long = sc(120000)
   def t3FlickrNodes: Long = sc(350000)
   def t3WikiNodes: Long = sc(150000)
@@ -50,27 +55,40 @@ object Sample {
   }
 }
 
-/** The one timing protocol of every table runner: `WarmUps` untimed calls,
-  * then `Runs` timed calls, summarised as one [[Sample]]. Both counts are
+/** The one timing protocol of every table runner. [[Timing.table]] calls
+  * every body once and requires each cell's systems to agree; then it makes
+  * `WarmUps` untimed calls of every body; then `Runs` timed calls, each
+  * checked against the agreed value after the clock stops. Both counts are
   * fixed, so every "ms" cell of every table is the same statistic.
   */
 object Timing {
   final val WarmUps = 2
   final val Runs = 5
 
-  /** Time `f` under the protocol (results discarded). */
-  def measure[A](f: => A): Sample = {
-    var i = 0
-    while (i < WarmUps) { f; i += 1 }
-    val ms = new Array[Double](Runs)
-    i = 0
-    while (i < Runs) {
-      val t0 = System.nanoTime()
-      f
-      ms(i) = (System.nanoTime() - t0) / 1e6
-      i += 1
+  /** A table cell: systems whose bodies must return the same value. */
+  final case class Cell(label: String, systems: Seq[(String, () => Long)])
+  /** A cell's agreed value, and one [[Sample]] per system in its order. */
+  final case class Timed(value: Long, samples: Seq[Sample])
+
+  def table(cells: Seq[Cell]): Seq[Timed] = {
+    val values = cells.map { c =>
+      val got = c.systems.map { case (name, f) => (name, f()) }
+      require(got.map(_._2).distinct.size == 1,
+        s"${c.label}: systems disagree: ${got.map { case (name, v) => s"$name=$v" }.mkString(" ")}")
+      got.head._2
     }
-    Sample.of(ms)
+    for (c <- cells; (_, f) <- c.systems; _ <- 1 to WarmUps) f()
+    cells.zip(values).map { case (c, value) =>
+      Timed(value, c.systems.map { case (name, f) =>
+        Sample.of(Array.fill(Runs) {
+          val t0 = System.nanoTime()
+          val v = f()
+          val ms = (System.nanoTime() - t0) / 1e6
+          require(v == value, s"${c.label}: $name returned $v on a timed call, not $value")
+          ms
+        })
+      })
+    }
   }
 
   private def fmt(ms: Double): String =

@@ -43,11 +43,7 @@ object Table2Memory {
     t.printOut()
   }
 
-  def runAll(spark: SparkSession): Seq[Result] = {
-    val ldbc = run(spark, "LDBC-lite", LdbcLite(spark, Scale.ldbcPersons))
-    render(ldbc)
-    val imdb = run(spark, "IMDb-lite", ImdbLite(spark, Scale.imdbTitles))
-    render(imdb)
-    Seq(ldbc, imdb)
-  }
+  def runAll(spark: SparkSession): Seq[Result] = Seq(
+    run(spark, "LDBC-lite", LdbcLite(spark, Scale.ldbcPersons)),
+    run(spark, "IMDb-lite", ImdbLite(spark, Scale.imdbTitles)))
 }

@@ -12,11 +12,13 @@ import repro.engine.Lbp
   */
 object Table3PropPages {
 
-  final case class Cell(dataset: String, plan: String, config: String, hops: Int, ms: Sample)
+  final case class Cell(dataset: String, plan: String, config: String, hops: Int, count: Long, ms: Sample)
   final case class Result(cells: Seq[Cell]) {
     def ms(ds: String, plan: String, config: String, hops: Int): Sample =
       cells.find(c => c.dataset == ds && c.plan == plan && c.config == config && c.hops == hops).get.ms
   }
+
+  private val systems = for (plan <- Seq("P_F", "P_B"); config <- Seq("COL_E", "PAGE_P")) yield (plan, config)
 
   private def datasets(spark: SparkSession): Seq[(String, CollectedGraph, String, String, String)] = Seq(
     ("LDBC", GraphLoader.collect(LdbcLite(spark, Scale.t3LdbcPersons)), "knows", "person", "creationDate"),
@@ -25,36 +27,34 @@ object Table3PropPages {
   )
 
   def run(spark: SparkSession): Result = {
-    val cells = scala.collection.mutable.ArrayBuffer.empty[Cell]
-    for ((name, collected, edgeLabel, vLabel, prop) <- datasets(spark)) {
-      val pageStore = GraphLoader.build(collected, StorageConfig.GFCL)
-      val colStore = GraphLoader.build(collected, StorageConfig.GFCL.copy(edgeColumns = true))
-      for (forward <- Seq(true, false); (store, config) <- Seq((colStore, "COL_E"), (pageStore, "PAGE_P"))) {
-        val q1 = MicroQueries.khop(edgeLabel, vLabel, 1, forward, Some(1_200_000_000L), prop)
-        val q2 = MicroQueries.twoHopCrossPred(edgeLabel, vLabel, prop, forward)
-        val plan = if (forward) "P_F" else "P_B"
-        cells += Cell(name, plan, config, 1, Timing.measure(Lbp.count(store, q1)))
-        cells += Cell(name, plan, config, 2, Timing.measure(Lbp.count(store, q2)))
+    // One checked cell per (dataset, hops): all four plans count the same paths.
+    val keyed = datasets(spark).flatMap { case (name, collected, edgeLabel, vLabel, prop) =>
+      val stores = Map("COL_E" -> GraphLoader.build(collected, StorageConfig.GFCL.copy(edgeColumns = true)),
+        "PAGE_P" -> GraphLoader.build(collected, StorageConfig.GFCL))
+      Seq(1, 2).map { hops =>
+        (name, hops) -> Timing.Cell(s"$name ${hops}H", systems.map { case (plan, config) =>
+          val q =
+            if (hops == 1) MicroQueries.khop(edgeLabel, vLabel, 1, plan == "P_F", Some(1_200_000_000L), prop)
+            else MicroQueries.twoHopCrossPred(edgeLabel, vLabel, prop, plan == "P_F")
+          s"$plan $config" -> (() => Lbp.count(stores(config), q))
+        })
       }
     }
-    Result(cells.toSeq)
+    Result(keyed.zip(Timing.table(keyed.map(_._2))).flatMap { case (((name, hops), _), t) =>
+      systems.zip(t.samples).map { case ((plan, config), ms) => Cell(name, plan, config, hops, t.value, ms) }
+    })
   }
 
   def render(r: Result): String = {
     val t = new TablePrinter("Table 3 — k-hop runtime (ms): property pages vs edge columns")
-    t.row("plan", "config", "LDBC 1H", "LDBC 2H", "WIKI 1H", "WIKI 2H", "FLICKR 1H", "FLICKR 2H")
-    for (plan <- Seq("P_F", "P_B"); config <- Seq("COL_E", "PAGE_P")) {
-      t.row(plan, config,
-        Timing.fmt(r.ms("LDBC", plan, config, 1)), Timing.fmt(r.ms("LDBC", plan, config, 2)),
-        Timing.fmt(r.ms("WIKI", plan, config, 1)), Timing.fmt(r.ms("WIKI", plan, config, 2)),
-        Timing.fmt(r.ms("FLICKR", plan, config, 1)), Timing.fmt(r.ms("FLICKR", plan, config, 2)))
-    }
-    def sp(ds: String, plan: String, h: Int) =
-      f"${r.ms(ds, plan, "COL_E", h).median / r.ms(ds, plan, "PAGE_P", h).median}%.1fx"
+    val cols = for (ds <- Seq("LDBC", "WIKI", "FLICKR"); h <- 1 to 2) yield (ds, h)
+    t.row(Seq("plan", "config") ++ cols.map { case (ds, h) => s"$ds ${h}H" }: _*)
+    for ((plan, config) <- systems)
+      t.row(Seq(plan, config) ++ cols.map { case (ds, h) => Timing.fmt(r.ms(ds, plan, config, h)) }: _*)
     for (plan <- Seq("P_F", "P_B"))
-      t.row(plan, "COL_E/PAGE_P",
-        sp("LDBC", plan, 1), sp("LDBC", plan, 2), sp("WIKI", plan, 1),
-        sp("WIKI", plan, 2), sp("FLICKR", plan, 1), sp("FLICKR", plan, 2))
+      t.row(Seq(plan, "COL_E/PAGE_P") ++ cols.map { case (ds, h) =>
+        f"${r.ms(ds, plan, "COL_E", h).median / r.ms(ds, plan, "PAGE_P", h).median}%.1fx"
+      }: _*)
     t.printOut()
   }
 }

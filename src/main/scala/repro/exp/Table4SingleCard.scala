@@ -12,7 +12,7 @@ import repro.engine.Lbp
 object Table4SingleCard {
 
   final case class Row(config: String, ms: Seq[Sample], memMb: Double)
-  final case class Result(rows: Seq[Row]) {
+  final case class Result(rows: Seq[Row], counts: Seq[Long]) {
     def row(c: String): Row = rows.find(_.config == c).get
   }
 
@@ -42,14 +42,13 @@ object Table4SingleCard {
   def run(spark: SparkSession): Result = {
     val collected = GraphLoader.collect(replyOfGraph(spark, Scale.t4Comments))
     val label = collected.schema.edgeIdx("replyOfComment")
-    Result(configs.map { case (name, config) =>
-      val store = GraphLoader.build(collected, config)
-      val ms = (1 to 3).map { hops =>
-        val q = MicroQueries.khop("replyOfComment", "comment", hops, forward = true, filtered = None)
-        Timing.measure(Lbp.count(store, q))
-      }
-      Row(name, ms, store.labelBytes(label) / 1e6)
+    val stores = configs.map { case (name, config) => name -> GraphLoader.build(collected, config) }
+    val timed = Timing.table((1 to 3).map { hops =>
+      val q = MicroQueries.khop("replyOfComment", "comment", hops, forward = true, filtered = None)
+      Timing.Cell(s"$hops-hop", stores.map { case (name, store) => name -> (() => Lbp.count(store, q)) })
     })
+    Result(stores.zip(timed.map(_.samples).transpose).map { case ((name, store), ms) =>
+      Row(name, ms, store.labelBytes(label) / 1e6) }, timed.map(_.value))
   }
 
   def render(r: Result): String = {

@@ -11,7 +11,7 @@ import repro.engine.{Lbp, Volcano}
   */
 object Table5Lbp {
 
-  final case class Cell(dataset: String, kind: String, hops: Int, cvMs: Sample, clMs: Sample) {
+  final case class Cell(dataset: String, kind: String, hops: Int, count: Long, cvMs: Sample, clMs: Sample) {
     def speedup: Double = cvMs.median / clMs.median
   }
   final case class Result(cells: Seq[Cell]) {
@@ -26,19 +26,19 @@ object Table5Lbp {
   )
 
   def run(spark: SparkSession): Result = {
-    val cells = scala.collection.mutable.ArrayBuffer.empty[Cell]
-    for ((name, collected, edgeLabel, vLabel, prop) <- datasets(spark)) {
+    val keyed = datasets(spark).flatMap { case (name, collected, edgeLabel, vLabel, prop) =>
       val store = GraphLoader.build(collected, StorageConfig.GFCL)
-      for (hops <- 1 to 3; kind <- Seq("FILTER", "COUNT(*)")) {
+      for (hops <- 1 to 3; kind <- Seq("FILTER", "COUNT(*)")) yield {
         val filtered = if (kind == "FILTER") Some(1_200_000_000L) else None
         val q = MicroQueries.khop(edgeLabel, vLabel, hops, forward = true, filtered, prop)
         // Same plan, two processors over identical columnar storage.
-        val cl = Timing.measure(Lbp.count(store, q))
-        val cv = Timing.measure(Volcano.count(store, q))
-        cells += Cell(name, kind, hops, cv, cl)
+        (name, kind, hops) -> Timing.Cell(s"$name $kind $hops-hop",
+          Seq("GF-CL" -> (() => Lbp.count(store, q)), "GF-CV" -> (() => Volcano.count(store, q))))
       }
     }
-    Result(cells.toSeq)
+    Result(keyed.zip(Timing.table(keyed.map(_._2))).map {
+      case (((name, kind, hops), _), t) => Cell(name, kind, hops, t.value, cvMs = t.samples(1), clMs = t.samples(0))
+    })
   }
 
   def render(r: Result): String = {

@@ -1,6 +1,9 @@
 package repro.exp
 
+import java.nio.file.Files
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.SparkSession
+import scala.util.Using
 import repro.baseline.SqlBaseline
 import repro.core._
 import repro.datasets._
@@ -22,7 +25,10 @@ object Table6Benchmarks {
                        sparkMs: Sample, duckMs: Sample) {
     def rvOverCl: Double = gfrvMs.median / gfclMs.median
   }
-  final case class Result(benchmark: String, rows: Seq[Row]) {
+  /** `spark`: the session's master and shuffle partitions; `duckThreads`:
+    * DuckDB's `threads` setting. GF-CL and GF-RV run on one thread.
+    */
+  final case class Result(benchmark: String, rows: Seq[Row], spark: String, duckThreads: String) {
     def medianSpeedup: Double = {
       val s = rows.map(_.rvOverCl).sorted
       s(s.size / 2)
@@ -34,42 +40,32 @@ object Table6Benchmarks {
     val gfrv = GraphLoader.build(collected, StorageConfig.GFRV)
     val gfcl = GraphLoader.build(collected, StorageConfig.GFCL)
     SqlBaseline.registerSpark(spark, data)
-    val duckDir = java.nio.file.Files
-      .createTempDirectory("duck-" + benchmark.replaceAll("[^A-Za-z0-9]", "-")).toString
-    val duck = SqlBaseline.loadDuckDb(spark, data, duckDir)
-
-    // GF-CL and GF-RV plans are compiled once, so their timings measure
-    // execution (the paper's systems also plan once per run). Each SQL
-    // call plans its query again, so the SPARK column includes planning;
-    // re-running one DataFrame would reuse its shuffle outputs instead.
-    val plans = queries.map(q => (q, Compiler.compile(q, gfcl), Compiler.compile(q, gfrv)))
-    // Pass 1: cross-check every query's count on all four systems. This
-    // also warms every engine over the whole workload before the first
-    // cell is timed, not just over the query about to be timed.
-    val counts = plans.map { case (q, clPlan, rvPlan) =>
-      val cCl = Lbp.count(gfcl, clPlan)
-      val cRv = Volcano.count(gfrv, rvPlan)
-      val cSp = SqlBaseline.sparkCount(spark, q)
-      val cDk = SqlBaseline.duckCount(duck, q)
-      require(cCl == cRv && cCl == cSp && cCl == cDk,
-        s"${q.name}: counts differ GF-CL=$cCl GF-RV=$cRv SPARK=$cSp DUCK=$cDk")
-      cCl
-    }
-    // Pass 2: time every cell.
-    val rows = plans.zip(counts).map { case ((q, clPlan, rvPlan), count) =>
-      Row(q.name, count,
-        gfclMs = Timing.measure(Lbp.count(gfcl, clPlan)),
-        gfrvMs = Timing.measure(Volcano.count(gfrv, rvPlan)),
-        sparkMs = Timing.measure(SqlBaseline.sparkCount(spark, q)),
-        duckMs = Timing.measure(SqlBaseline.duckCount(duck, q)))
-    }
-    duck.close()
-    Result(benchmark, rows)
+    // DuckDB loads from Parquet scratch files; both go away with the run.
+    val duckDir = Files.createTempDirectory("duck-" + benchmark.replaceAll("[^A-Za-z0-9]", "-"))
+    try Using.resource(SqlBaseline.loadDuckDb(spark, data, duckDir.toString)) { duck =>
+      // GF-CL and GF-RV plans are compiled once, so their timings measure
+      // execution (the paper's systems also plan once per run). Each SQL
+      // call plans its query again, so the SPARK column includes planning;
+      // re-running one DataFrame would reuse its shuffle outputs instead.
+      val plans = queries.map(q => (q, Compiler.compile(q, gfcl), Compiler.compile(q, gfrv)))
+      val timed = Timing.table(plans.map { case (q, clPlan, rvPlan) =>
+        Timing.Cell(q.name, Seq(
+          "GF-CL" -> (() => Lbp.count(gfcl, clPlan)),
+          "GF-RV" -> (() => Volcano.count(gfrv, rvPlan)),
+          "SPARK" -> (() => SqlBaseline.sparkCount(spark, q)),
+          "DUCK" -> (() => SqlBaseline.duckCount(duck, q))))
+      })
+      Result(benchmark, queries.zip(timed).map {
+        case (q, Timing.Timed(n, ms)) => Row(q.name, n, ms(0), ms(1), ms(2), ms(3))
+      }, spark = s"${spark.sparkContext.master}, ${spark.conf.get("spark.sql.shuffle.partitions")} shuffle partitions",
+        duckThreads = SqlBaseline.duckThreads(duck))
+    } finally FileUtils.deleteDirectory(duckDir.toFile)
   }
 
   def render(r: Result): String = {
     val t = new TablePrinter(s"Table 6 — ${r.benchmark} runtime (ms) per system")
-    t.row("query", "count", "GF-CL", "GF-RV", "SPARK (incl. planning)", "DUCK", "GF-RV/GF-CL")
+    t.row("query", "count", "GF-CL (1 thread)", "GF-RV (1 thread)", s"SPARK (${r.spark}; incl. planning)",
+      s"DUCK (${r.duckThreads} threads)", "GF-RV/GF-CL")
     r.rows.foreach { row =>
       t.row(row.query, row.count, Timing.fmt(row.gfclMs), Timing.fmt(row.gfrvMs),
         Timing.fmt(row.sparkMs), Timing.fmt(row.duckMs), f"${row.rvOverCl}%.1fx")

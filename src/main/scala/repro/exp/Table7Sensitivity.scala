@@ -38,47 +38,45 @@ object Table7Sensitivity {
   def run(): Result = {
     val n = Scale.nullColumnSize
     val acc = accesses(n, Scale.nullColumnAccesses, 99)
-    var runtime = Map.empty[(Int, (Int, Int)), Sample]
-    var overhead = Map.empty[(Int, Int), Double]
-    var uncMs = Map.empty[Int, Sample]
-    var vanMs = Map.empty[Int, Sample]
-
+    // Vanilla (no rank index: linear popcount scans) reads a slice of the
+    // accesses, checked on the plain column; its time is scaled up.
+    val nVan = math.max(1, acc.length / 512)
+    var r = Result(Map.empty, Map.empty, Map.empty, Map.empty)
     for (rho <- densities) {
       val d = dense(n, rho, rho)
-      for ((c, m) <- cms) {
-        val col = NullCompressedColumn(d, c, m)
-        val ms = Timing.measure {
+      val cols = cms.map { case (c, m) => NullCompressedColumn(d, c, m) }
+      // Uncompressed: the store's plain column, the read path a query uses.
+      val unc = repro.storage.VColumn(d, suppress = false, nullCompress = false)
+      val van = VanillaNullColumn(d)
+      // Each read loop has its own call site, so each timed loop stays monomorphic.
+      def uncSum(count: Int): Long = {
+        var s = 0L
+        var i = 0
+        while (i < count) { s += unc.get(acc(i)); i += 1 }
+        s
+      }
+      val Seq(all, slice) = Timing.table(Seq(
+        Timing.Cell(s"rho=$rho", cms.zip(cols).map { case ((c, m), col) =>
+          s"J-NULL $c,$m" -> { () =>
+            var s = 0L
+            var i = 0
+            while (i < acc.length) { s += col.get(acc(i)); i += 1 }
+            s
+          }
+        } :+ ("Uncompressed" -> (() => uncSum(acc.length)))),
+        Timing.Cell(s"rho=$rho Vanilla slice", Seq("Vanilla" -> { () =>
           var s = 0L
           var i = 0
-          while (i < acc.length) { s += col.get(acc(i)); i += 1 }
+          while (i < nVan) { s += van.get(acc(i)); i += 1 }
           s
-        }
-        runtime += (rho, (c, m)) -> ms
-        if (rho == 50) overhead += (c, m) -> col.indexBytes / 1e6
-      }
-      // Uncompressed: the store's plain column structure (fixed-width
-      // values, sentinel NULLs) — the same read path a query would use.
-      val unc = repro.storage.VColumn(d, suppress = false, nullCompress = false)
-      uncMs += rho -> Timing.measure {
-        var s = 0L
-        var i = 0
-        while (i < acc.length) { s += unc.get(acc(i)); i += 1 }
-        s
-      }
-      // Vanilla (no rank index): linear popcount scans — measured on a small
-      // slice of the accesses and scaled to the full count.
-      val van = VanillaNullColumn(d)
-      val vanAccesses = math.max(1, acc.length / 512)
-      val t = Timing.measure {
-        var s = 0L
-        var i = 0
-        while (i < vanAccesses) { s += van.get(acc(i)); i += 1 }
-        s
-      }
-      val k = acc.length.toDouble / vanAccesses
-      vanMs += rho -> t.copy(median = t.median * k, min = t.min * k, max = t.max * k)
+        }, "Uncompressed" -> (() => uncSum(nVan))))))
+      val (t, k) = (slice.samples.head, acc.length.toDouble / nVan)
+      r = Result(r.runtimeMs ++ cms.map((rho, _)).zip(all.samples),
+        if (rho == 50) cms.zip(cols.map(_.indexBytes / 1e6)).toMap else r.overheadMb,
+        r.uncompressedMs + (rho -> all.samples.last),
+        r.vanillaMsScaled + (rho -> t.copy(median = t.median * k, min = t.min * k, max = t.max * k)))
     }
-    Result(runtime, overhead, uncMs, vanMs)
+    r
   }
 
   def render(r: Result): String = {

@@ -1,20 +1,69 @@
 package repro.exp
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable.ArrayBuffer
 
-class TimingSpec extends SparkSpec {
+class TimingSpec extends AnyFunSuite {
 
-  test("measure calls its body exactly warm-ups + runs times") {
+  /** A system body that logs each call as (system, call number) and returns
+    * `value(call number)`.
+    */
+  private def body(log: ArrayBuffer[(String, Int)], name: String)(value: Int => Long): () => Long = {
     var calls = 0
-    Timing.measure { calls += 1; calls }
-    assert(calls == Timing.WarmUps + Timing.Runs)
+    () => { calls += 1; log += ((name, calls)); value(calls) }
   }
 
-  test("measure returns one timing per run, with min <= median <= max") {
-    val s = Timing.measure((1 to 1000).sum)
-    assert(s.n == Timing.Runs)
-    assert(s.min >= 0)
-    assert(s.min <= s.median && s.median <= s.max)
+  test("table checks every cell, then warms every cell, then times every cell") {
+    val log = ArrayBuffer.empty[(String, Int)]
+    val cells = Seq(
+      Timing.Cell("c1", Seq("a" -> body(log, "a")(_ => 7L), "b" -> body(log, "b")(_ => 7L))),
+      Timing.Cell("c2", Seq("c" -> body(log, "c")(_ => 3L))))
+    Timing.table(cells)
+    // Call k of a body falls in pass 1 (k = 1), 2 (warm-ups) or 3 (timed).
+    def pass(k: Int) = if (k == 1) 1 else if (k <= 1 + Timing.WarmUps) 2 else 3
+    val passes = log.map { case (_, k) => pass(k) }
+    assert(passes == passes.sorted, s"passes interleave: $log")
+    assert(log.take(3).map(_._1) == Seq("a", "b", "c"))
+  }
+
+  test("table calls each body exactly 1 + warm-ups + runs times") {
+    val log = ArrayBuffer.empty[(String, Int)]
+    Timing.table(Seq(
+      Timing.Cell("c1", Seq("a" -> body(log, "a")(_ => 7L), "b" -> body(log, "b")(_ => 7L))),
+      Timing.Cell("c2", Seq("c" -> body(log, "c")(_ => 3L)))))
+    val perBody = 1 + Timing.WarmUps + Timing.Runs
+    assert(log.groupBy(_._1).view.mapValues(_.size).toMap == Map("a" -> perBody, "b" -> perBody, "c" -> perBody))
+  }
+
+  test("table returns each cell's value and one timing per run, with min <= median <= max") {
+    val t = Timing.table(Seq(
+      Timing.Cell("c1", Seq("a" -> (() => 5L), "b" -> (() => 5L))),
+      Timing.Cell("c2", Seq("a" -> (() => (1 to 1000).sum.toLong)))))
+    assert(t.map(_.value) == Seq(5L, 500500L))
+    assert(t.map(_.samples.size) == Seq(2, 1))
+    t.flatMap(_.samples).foreach { s =>
+      assert(s.n == Timing.Runs)
+      assert(s.min >= 0)
+      assert(s.min <= s.median && s.median <= s.max)
+    }
+  }
+
+  test("systems that disagree fail the table, naming the cell and each value, before any timing") {
+    val log = ArrayBuffer.empty[(String, Int)]
+    val e = intercept[IllegalArgumentException](Timing.table(Seq(
+      Timing.Cell("fine", Seq("a" -> body(log, "a")(_ => 1L))),
+      Timing.Cell("LDBC 2-hop", Seq("x" -> body(log, "x")(_ => 10L), "y" -> body(log, "y")(_ => 11L))))))
+    assert(e.getMessage.contains("LDBC 2-hop"))
+    assert(e.getMessage.contains("x=10") && e.getMessage.contains("y=11"))
+    assert(log == Seq(("a", 1), ("x", 1), ("y", 1)), "only the check pass may run")
+  }
+
+  test("a timed call that returns another value fails the table") {
+    val log = ArrayBuffer.empty[(String, Int)]
+    // Right through the check and the warm-ups, wrong on the last timed call.
+    val flaky = body(log, "f")(k => if (k == 1 + Timing.WarmUps + Timing.Runs) 9L else 4L)
+    val e = intercept[IllegalArgumentException](Timing.table(Seq(Timing.Cell("cell", Seq("f" -> flaky)))))
+    assert(e.getMessage.contains("cell") && e.getMessage.contains("f returned 9"))
   }
 
   test("Sample.of gives median, min and max of fixed timings") {
