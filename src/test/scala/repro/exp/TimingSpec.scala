@@ -35,7 +35,7 @@ class TimingSpec extends AnyFunSuite {
     assert(log.groupBy(_._1).view.mapValues(_.size).toMap == Map("a" -> perBody, "b" -> perBody, "c" -> perBody))
   }
 
-  test("table returns each cell's value and one timing per run, with min <= median <= max") {
+  test("table returns each cell's value and one timing per run, min <= median <= max") {
     val t = Timing.table(Seq(
       Timing.Cell("c1", Seq("a" -> (() => 5L), "b" -> (() => 5L))),
       Timing.Cell("c2", Seq("a" -> (() => (1 to 1000).sum.toLong)))))
