@@ -2,8 +2,7 @@ package repro.engine
 
 import repro.core.{GraphStore, Values}
 import repro.query._
-import repro.storage.{CsrAdjacency, GlobalIdEdgeProps, PropertyPages, SingleAdjacency, VColOwnerEdgeProps}
-import repro.util.ByteWidthArray
+import repro.storage.{CsrAdjacency, LongReader, SingleAdjacency, SliceReader}
 
 /** List-based processor — LBP (paper §6). Intermediate tuples are a set of
   * factorized ''list groups'' (flat when `curIdx >= 0`, otherwise an unflat
@@ -15,19 +14,7 @@ import repro.util.ByteWidthArray
   */
 object Lbp {
 
-  /** A block of values: the engine's read-only view over CSR slices,
-    * scratch arrays, scan ranges, or a single value. `gather` reads the
-    * values at a selection in one loop inside the reader's own class, so
-    * the filter and extend loops dispatch once per block (paper §6.2).
-    */
-  sealed trait LongReader {
-    def get(i: Int): Long
-    /** `out(i) = get(sel(i))` for i < n, or `get(i)` when `sel` is null. */
-    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit
-  }
-  // Readers are allocated once per operator and re-pointed per list —
-  // block processors reuse their vector objects, so LBP does no per-list
-  // allocation on the hot path.
+  /** The scan's offsets: `start + i`. */
   private final class RangeReader extends LongReader {
     var start: Long = 0L
     def get(i: Int): Long = start + i
@@ -37,60 +24,15 @@ object Lbp {
       else while (i < n) { out(i) = start + sel(i); i += 1 }
     }
   }
-  /** A reader re-pointed at each adjacency list (of vertex `own`, starting
-    * at slot `off`).
-    */
-  private sealed abstract class SlotReader extends LongReader {
-    var off: Int = 0
-    def point(start: Int, own: Long): Unit = off = start
-  }
-  /** Points into an adjacency array — no copy (paper §6.2, ListExtend). */
-  private final class SliceReader(a: ByteWidthArray) extends SlotReader {
-    def get(i: Int): Long = a.get(off + i)
-    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = a.gather(off, sel, n, out)
-  }
+  /** ColumnExtend's neighbours, by position in the group. */
   private final class ScratchReader extends LongReader {
-    var a: Array[Long] = null
+    var a: Array[Long] = new Array[Long](1024)
     def get(i: Int): Long = a(i)
     def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = {
       var i = 0
       if (sel == null) System.arraycopy(a, 0, out, 0, n)
       else while (i < n) { out(i) = a(sel(i)); i += 1 }
     }
-  }
-  /** Forward property-page handles: the page base is fixed for the whole
-    * adjacency list, so handles are base + page-level offsets.
-    */
-  private final class BasedSliceReader(pages: PropertyPages, ev: ByteWidthArray) extends SlotReader {
-    private var base: Long = 0L
-    override def point(start: Int, own: Long): Unit = { off = start; base = pages.pageBase(own) }
-    def get(i: Int): Long = base + ev.get(off + i)
-    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = {
-      ev.gather(off, sel, n, out)
-      var i = 0
-      while (i < n) { out(i) += base; i += 1 }
-    }
-  }
-  /** Backward property-page handles: pageBase(neighbour) + page offset,
-    * with the page store bound directly (no generic handle dispatch).
-    */
-  private final class BwdPageHandleReader(pages: PropertyPages,
-                                          ev: ByteWidthArray, nbrs: ByteWidthArray) extends SlotReader {
-    private var offsets = new Array[Long](1024)
-    def get(i: Int): Long = pages.pageBase(nbrs.get(off + i)) + ev.get(off + i)
-    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = {
-      nbrs.gather(off, sel, n, out)
-      pages.pageBases(out, n, out)
-      if (offsets.length < n) offsets = new Array[Long](capacity(n))
-      ev.gather(off, sel, n, offsets)
-      var i = 0
-      while (i < n) { out(i) += offsets(i); i += 1 }
-    }
-  }
-  private final class ConstReader extends LongReader {
-    var value: Long = 0L
-    def get(i: Int): Long = value
-    def gather(sel: Array[Int], n: Int, out: Array[Long]): Unit = java.util.Arrays.fill(out, 0, n, value)
   }
 
   /** One factorized group of equal-length blocks (paper §6.1). */
@@ -107,9 +49,11 @@ object Lbp {
 
   /** The intermediate chunk: the Cartesian product of its list groups
     * (one for the scan and one per ListExtend), plus the value scratch its
-    * filters gather into.
+    * filters gather into. Each slot's reader is set once, by the operator
+    * that binds the slot. As a [[ReadCtx]] it gives each slot's value at
+    * its flattened group's current position.
     */
-  private final class Chunk(numV: Int, numE: Int, numGroups: Int) {
+  private final class Chunk(numV: Int, numE: Int, numGroups: Int) extends ReadCtx {
     val groups = new Array[ListGroup](numGroups)
     private var nGroups = 0
     val vGroup = Array.fill(numV)(-1)
@@ -120,6 +64,14 @@ object Lbp {
     var ys = new Array[Long](1024)
 
     def newGroup(): Int = { groups(nGroups) = new ListGroup; nGroups += 1; nGroups - 1 }
+
+    def v(slot: Int): Long = flat(vReader(slot), vGroup(slot))
+    def e(slot: Int): Long = flat(eReader(slot), eGroup(slot))
+    private def flat(r: LongReader, gi: Int): Long = {
+      val grp = groups(gi)
+      assert(grp.curIdx >= 0, "non-active operand must be in a flattened group")
+      r.get(grp.curIdx)
+    }
 
     /** Grow the value scratch to hold `n` values. */
     def reserve(n: Int): Unit = if (xs.length < n) {
@@ -176,59 +128,37 @@ object Lbp {
   private def groupOf(chunk: Chunk, r: OperandRef): Int =
     if (r.isEdge) chunk.eGroup(r.slot) else chunk.vGroup(r.slot)
 
-  /** Value of an operand whose group is flattened. */
-  private def flatValue(chunk: Chunk, r: OperandRef): Long = {
-    val grp = chunk.groups(groupOf(chunk, r))
-    assert(grp.curIdx >= 0, "non-active operand must be in a flattened group")
-    r.access(readerOf(chunk, r).get(grp.curIdx))
-  }
-
-  private def isActive(chunk: Chunk, r: OperandRef, gi: Int, g: ListGroup): Boolean =
-    groupOf(chunk, r) == gi && g.curIdx < 0
-
   /** The values of active operand `r` at the group's positions, in `out`. */
   private def gatherValues(chunk: Chunk, r: OperandRef, g: ListGroup, out: Array[Long]): Unit = {
     readerOf(chunk, r).gather(g.sel, g.numPos, out)
     r.gather(out, g.numPos, out)
   }
 
+  /** An operand is active when it is in unflat group `gi`; a predicate
+    * with no active operand is evaluated once, for the current tuple.
+    */
   private def applyPred(pred: CompiledPred, gi: Int, g: ListGroup, chunk: Chunk,
                         buf: Array[Int]): Boolean = {
+    def active(r: OperandRef): Boolean = r != null && g.curIdx < 0 && groupOf(chunk, r) == gi
     val nPos = g.numPos
     chunk.reserve(nPos)
     val xs = chunk.xs
     val n = pred match {
-      case c: CmpPred =>
-        val lhsActive = isActive(chunk, c.lhs, gi, g)
-        val rhsActive = c.rhs != null && isActive(chunk, c.rhs, gi, g)
-        if (lhsActive && rhsActive) {
-          // Both operands in the active group (e.g. edge vs neighbour prop).
-          gatherValues(chunk, c.lhs, g, xs)
-          gatherValues(chunk, c.rhs, g, chunk.ys)
-          CmpOp.selectPairs(c.op.code, xs, chunk.ys, nPos, g.sel, buf)
-        } else if (lhsActive) {
-          gatherValues(chunk, c.lhs, g, xs)
-          CmpOp.select(c.op.code, xs, nPos, if (c.rhs == null) c.const else flatValue(chunk, c.rhs), g.sel, buf)
-        } else if (rhsActive) {
-          gatherValues(chunk, c.rhs, g, xs)
-          CmpOp.select(c.op.flip.code, xs, nPos, flatValue(chunk, c.lhs), g.sel, buf)
-        } else {
-          // Fully flat: evaluate once for the current tuple.
-          val a = flatValue(chunk, c.lhs)
-          val b = if (c.rhs == null) c.const else flatValue(chunk, c.rhs)
-          return a != Values.Null && b != Values.Null && CmpOp.holds(c.op.code, a, b)
-        }
-
-      case s: CodeSetPred =>
-        if (!isActive(chunk, s.lhs, gi, g)) {
-          val a = flatValue(chunk, s.lhs)
-          return a != Values.Null && java.util.Arrays.binarySearch(s.codes, a) >= 0
-        }
+      case c: CmpPred if active(c.lhs) && active(c.rhs) =>
+        // Both operands in the active group (e.g. edge vs neighbour prop).
+        gatherValues(chunk, c.lhs, g, xs)
+        gatherValues(chunk, c.rhs, g, chunk.ys)
+        CmpOp.selectPairs(c.op.code, xs, chunk.ys, nPos, g.sel, buf)
+      case c: CmpPred if active(c.lhs) =>
+        gatherValues(chunk, c.lhs, g, xs)
+        CmpOp.select(c.op.code, xs, nPos, if (c.rhs == null) c.const else c.rhs.read(chunk), g.sel, buf)
+      case c: CmpPred if active(c.rhs) =>
+        gatherValues(chunk, c.rhs, g, xs)
+        CmpOp.select(c.op.flip.code, xs, nPos, c.lhs.read(chunk), g.sel, buf)
+      case s: CodeSetPred if active(s.lhs) =>
         gatherValues(chunk, s.lhs, g, xs)
         CmpOp.selectIn(s.codes, xs, nPos, g.sel, buf)
-
-      case _: RowStrPred =>
-        throw new IllegalStateException("raw-string predicates exist only on row storage")
+      case _ => return pred.eval(chunk)
     }
     g.sel = buf
     g.selLen = n
@@ -286,20 +216,8 @@ object Lbp {
 
     private val nbrReader = new SliceReader(adj.nbrs)
     chunk.vReader(step.toSlot) = nbrReader
-    // Edge-handle reader, chosen once per step by the label's property
-    // store (GraphLoader.build decides the store together with the list's
-    // edge values).
-    private val edgeReader: SlotReader = if (step.eSlot < 0) null else step.props match {
-      case pages: PropertyPages =>
-        if (step.forward) new BasedSliceReader(pages, adj.edgeVals)
-        else new BwdPageHandleReader(pages, adj.edgeVals, adj.nbrs)
-      case _: GlobalIdEdgeProps => new SliceReader(adj.edgeVals)
-      case owner: VColOwnerEdgeProps =>
-        // Lists run away from the single-cardinality owner: the handle is the neighbour.
-        require(owner.ownerIsSrc != step.forward, "owner-column properties behind an owner-side CSR")
-        nbrReader
-      case other => throw new IllegalStateException(s"LBP reads no edge properties from $other")
-    }
+    // The label's edge-ID rule in block form.
+    private val edgeReader = if (step.eSlot < 0) null else step.props.listHandles(adj, step.forward, nbrReader)
     if (edgeReader != null) chunk.eReader(step.eSlot) = edgeReader
 
     def open(): Unit = { child.open(); inPos = 0; inLen = 0 }
@@ -366,6 +284,8 @@ object Lbp {
   /** 1-1 / n-1 join over a vertex-column adjacency: appends blocks to the
     * input's own group (values need not be factored out), gathering the
     * single neighbour per position and dropping positions without one.
+    * A flattened input writes its one neighbour at its current position, so
+    * the neighbour slot keeps one reader.
     */
   private final class LColumnExtend(child: Op, step: ExtendStep, chunk: Chunk) extends Op {
     private val adj = step.adj.asInstanceOf[SingleAdjacency]
@@ -373,41 +293,30 @@ object Lbp {
     private val g = chunk.groups(gi)
     chunk.vGroup(step.toSlot) = gi
     if (step.eSlot >= 0) chunk.eGroup(step.eSlot) = gi
-    // Owner-column edge properties: the handle is the owner (the input
-    // vertex) or the neighbour, so the edge slot reuses one of their readers.
-    private val handleIsOwner = step.eSlot >= 0 && (step.props match {
-      case owner: VColOwnerEdgeProps => owner.ownerIsSrc == step.forward
-      case other => throw new IllegalStateException(s"LBP reads no edge properties from $other")
-    })
-    private var nbrs = new Array[Long](1024)     // by position
+    private val nbrReader = new ScratchReader
     private var gathered = new Array[Long](1024) // by index into the selection
     private var selBuf = new Array[Int](1024)
-    private val flatNbr = new ConstReader
-    private val nbrReader = new ScratchReader
+    chunk.vReader(step.toSlot) = nbrReader
+    if (step.eSlot >= 0)
+      chunk.eReader(step.eSlot) = step.props.singleHandles(step.forward, chunk.vReader(step.fromSlot), nbrReader)
 
     def open(): Unit = child.open()
 
-    /** Point the neighbour slot, and the edge slot if any, at `nbr`. */
-    private def bind(nbr: LongReader): Unit = {
-      chunk.vReader(step.toSlot) = nbr
-      if (step.eSlot >= 0) chunk.eReader(step.eSlot) = if (handleIsOwner) chunk.vReader(step.fromSlot) else nbr
-    }
-
     def next(): Boolean = {
       while (child.next()) {
+        if (nbrReader.a.length < g.size) {
+          nbrReader.a = new Array[Long](capacity(g.size))
+          gathered = new Array[Long](nbrReader.a.length)
+          selBuf = new Array[Int](nbrReader.a.length)
+        }
+        val nbrs = nbrReader.a
         if (g.curIdx >= 0) {
           val nbr = adj.nbr(chunk.vReader(step.fromSlot).get(g.curIdx).toInt)
           if (nbr != Values.Null) {
-            flatNbr.value = nbr
-            bind(flatNbr)
+            nbrs(g.curIdx) = nbr
             if (filterGroup(step.preds, gi, g, selBuf, chunk)) return true
           }
         } else {
-          if (nbrs.length < g.size) {
-            nbrs = new Array[Long](capacity(g.size))
-            gathered = new Array[Long](nbrs.length)
-            selBuf = new Array[Int](nbrs.length)
-          }
           val nPos = g.numPos
           chunk.vReader(step.fromSlot).gather(g.sel, nPos, gathered)
           adj.col.gather(gathered, nPos, gathered)
@@ -425,8 +334,6 @@ object Lbp {
           }
           g.sel = selBuf
           g.selLen = n
-          nbrReader.a = nbrs
-          bind(nbrReader)
           if (n > 0 && filterGroup(step.preds, gi, g, selBuf, chunk)) return true
         }
       }

@@ -91,8 +91,11 @@ object Timing {
     }
   }
 
-  private def fmt(ms: Double): String =
-    if (ms >= 100) f"$ms%.0f" else if (ms >= 10) f"$ms%.1f" else f"$ms%.2f"
+  /** Two decimals below 10, one below 100, judged on the rounded value. */
+  private def fmt(ms: Double): String = {
+    def at(decimals: Int) = s"%.${decimals}f".formatLocal(java.util.Locale.ROOT, ms)
+    if (at(2).toDouble < 10) at(2) else if (at(1).toDouble < 100) at(1) else at(0)
+  }
 
   /** `median [min-max]`, ASCII so it prints on any console encoding. */
   def fmt(s: Sample): String = s"${fmt(s.median)} [${fmt(s.min)}-${fmt(s.max)}]"

@@ -15,13 +15,12 @@ trait ReadCtx {
 
 /** An operand resolved against the store: which tuple slot it reads
   * (vertex offset or edge handle) and property `prop` of the store that
-  * value indexes (a numeric or a dictionary code). Volcano reads it per
-  * tuple through `access`; LBP reads a block of handles at once (`gather`).
+  * value indexes (a numeric or a dictionary code). `read` gives its value
+  * for one tuple; LBP reads a block of handles at once (`gather`).
   */
 final class OperandRef(val isEdge: Boolean, val slot: Int, props: PropertyStore, prop: Int)
     extends Serializable {
-  val access: Long => Long = props.reader(prop)
-  def read(ctx: ReadCtx): Long = access(if (isEdge) ctx.e(slot) else ctx.v(slot))
+  def read(ctx: ReadCtx): Long = props.getLong((if (isEdge) ctx.e(slot) else ctx.v(slot)).toInt, prop)
   /** `out(i)` = the property at handle `handles(i)`, for i < n (`out` may be `handles`). */
   def gather(handles: Array[Long], n: Int, out: Array[Long]): Unit = props.gatherLong(prop, handles, n, out)
 }
@@ -29,7 +28,8 @@ final class OperandRef(val isEdge: Boolean, val slot: Int, props: PropertyStore,
 /** A predicate compiled once against one [[GraphStore]], in the one form
   * both processors use: Volcano calls `eval` per tuple; LBP gathers a
   * block of operand values and runs the same comparison with the block
-  * primitives of [[CmpOp]] (paper §6.2, Filter). On columnar stores
+  * primitives of [[CmpOp]] (paper §6.2, Filter), or calls `eval` once
+  * when no operand is in the block's group. On columnar stores
   * string tests are translated to dictionary codes here, so no processor
   * decodes (§5.1).
   * NULL operands fail every predicate.

@@ -10,10 +10,10 @@ import repro.util.ByteWidthArray
   */
 sealed trait CsrOffsets extends Serializable {
   def numVertices: Int
-  /** Start slot of v's list (undefined when empty — check `isEmpty`). */
+  /** Start slot of v's list, or -1 when it is empty. */
   def start(v: Int): Int
+  /** End slot of v's list; defined when it is not empty. */
   def end(v: Int): Int
-  def isEmptyList(v: Int): Boolean
   /** The lists of vertices `vs(0 until n)` in one call: `starts(i)` is -1
     * for an empty list, otherwise its start slot, and `ends(i)` its end.
     */
@@ -23,9 +23,11 @@ sealed trait CsrOffsets extends Serializable {
 
 final class PlainOffsets(off: ByteWidthArray) extends CsrOffsets {
   def numVertices: Int = off.length - 1
-  def start(v: Int): Int = off.get(v).toInt
+  def start(v: Int): Int = {
+    val s = off.get(v)
+    if (s == off.get(v + 1)) -1 else s.toInt
+  }
   def end(v: Int): Int = off.get(v + 1).toInt
-  def isEmptyList(v: Int): Boolean = off.get(v) == off.get(v + 1)
   /** Two offset reads per list. */
   def ranges(vs: Array[Long], n: Int, starts: Array[Int], ends: Array[Int]): Unit = {
     var i = 0
@@ -41,9 +43,8 @@ final class PlainOffsets(off: ByteWidthArray) extends CsrOffsets {
   */
 final class CompressedOffsets(idx: JacobsonIndex, packed: ByteWidthArray) extends CsrOffsets {
   def numVertices: Int = idx.length - 1
-  def start(v: Int): Int = packed.get(idx.rank(v).toInt).toInt
+  def start(v: Int): Int = if (idx.isSet(v)) packed.get(idx.rank(v).toInt).toInt else -1
   def end(v: Int): Int = packed.get(idx.rank(v).toInt + 1).toInt
-  def isEmptyList(v: Int): Boolean = !idx.isSet(v)
   /** One rank per non-empty list, then two reads of the packed starts. */
   def ranges(vs: Array[Long], n: Int, starts: Array[Int], ends: Array[Int]): Unit = {
     var i = 0
@@ -73,7 +74,7 @@ final class CsrAdjacency(
     val edgeVals: ByteWidthArray // null when omitted
 ) extends Adjacency {
   def numVertices: Int = offsets.numVertices
-  @inline def start(v: Int): Int = if (offsets.isEmptyList(v)) -1 else offsets.start(v)
+  @inline def start(v: Int): Int = offsets.start(v)
   @inline def end(v: Int): Int = offsets.end(v)
   @inline def nbr(i: Int): Long = nbrs.get(i)
   @inline def edgeVal(i: Int): Long = if (edgeVals == null) 0L else edgeVals.get(i)

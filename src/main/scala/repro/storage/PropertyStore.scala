@@ -12,8 +12,6 @@ trait PropertyStore extends Serializable {
   /** Numeric value or dictionary code; rows keep strings raw (`getString`). */
   def getLong(entity: Int, p: Int): Long
   def getString(entity: Int, p: Int): String
-  /** `getLong` with property `p` bound once: compiled predicates' accessor. */
-  def reader(p: Int): Long => Long
   /** `out(i) = getLong(handles(i), p)` for i < n: the block read of LBP's
     * filters (`out` may be `handles`). Columns override it with one loop
     * per column class.

@@ -61,8 +61,6 @@ final class RowStore(heap: Array[Byte], ptrs: Array[Long]) extends PropertyStore
   private def readLong8(p: Int): Long =
     (readInt(p).toLong << 32) | (readInt(p + 4).toLong & 0xffffffffL)
 
-  def reader(key: Int): Long => Long = h => getLong(h.toInt, key)
-
   /** Rows store strings raw: no dictionary. */
   def dict(key: Int): Dictionary = null
 

@@ -97,10 +97,6 @@ final class ColumnSet(
     val code = cols(p).get(entity)
     if (code == Values.Null) null else dicts(p).decode(code.toInt)
   }
-  def reader(p: Int): Long => Long = {
-    val col = cols(p)
-    h => col.get(h.toInt)
-  }
   override def gatherLong(p: Int, handles: Array[Long], n: Int, out: Array[Long]): Unit =
     cols(p).gather(handles, n, out)
   def dict(p: Int): Dictionary = dicts(p)

@@ -1,6 +1,9 @@
 package repro
 
+import java.nio.file.{Files, Path}
+import java.util.Comparator
 import org.apache.spark.sql.SparkSession
+import scala.util.Using
 import repro.baseline.SqlBaseline
 import repro.core._
 import repro.datasets._
@@ -30,9 +33,13 @@ object TestFixtures {
   final case class Fixture(data: GraphData, collected: CollectedGraph) {
     lazy val gfrv: GraphStore = store(collected, StorageConfig.GFRV)
     lazy val gfcl: GraphStore = store(collected, StorageConfig.GFCL)
+    /** `loadDuckDb` copies the Parquet files into the in-memory database,
+      * so their directory goes once it returns.
+      */
     lazy val duck: java.sql.Connection = {
-      val dir = java.nio.file.Files.createTempDirectory("duck").toString
-      SqlBaseline.loadDuckDb(spark, data, dir)
+      val dir = Files.createTempDirectory("duck")
+      try SqlBaseline.loadDuckDb(spark, data, dir.toString)
+      finally Using.resource(Files.walk(dir))(_.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p)))
     }
     private var sparkRegistered = false
     def ensureSpark(): Unit = synchronized {

@@ -9,7 +9,7 @@ import repro.query._
   * predicate after the first reads a selection vector), a comparison with
   * both operands in the active group, a dictionary code set, property-page
   * handles in both directions, and a ColumnExtend whose edge predicate
-  * reads the owner's column.
+  * reads the owner's column, over an unflat and over a flattened group.
   */
 class LbpBlockSpec extends SparkSpec {
 
@@ -48,6 +48,28 @@ class LbpBlockSpec extends SparkSpec {
         assert(expected > 0 && expected < all, s"${config.name}: $expected of $all should pass")
         assert(Lbp.count(store, plan) == expected, config.name)
       }
+    }
+  }
+
+  test("ColumnExtend over the flattened scan group: LBP equals Volcano") {
+    // p0 -knows-> p1 flattens p0's group, so the ColumnExtend from p0 takes
+    // its flat path: s reads p0's column, o the neighbour it binds.
+    def q(filtered: Boolean) = Query(s"knows-then-p0-studyAt${if (filtered) "-filter" else ""}",
+      vars = Seq(QVar("p0", "person"), QVar("p1", "person"), QVar("o", "org")),
+      edges = Seq(QEdge("knows", "p0", "p1"), QEdge("studyAt", "p0", "o", alias = "s")),
+      preds = if (!filtered) Seq.empty
+              else Seq(CmpConst(EProp("s", "classYear"), GT, 2000L), StrPred(VProp("o", "orgType"), SEq("university"))),
+      anchor = "p0", joinOrder = Seq(0, 1))
+    val all = Volcano.count(TestFixtures.ldbc.gfcl, q(filtered = false))
+    for (config <- stores) {
+      val store = TestFixtures.store(TestFixtures.ldbcCollected, config)
+      val plan = Compiler.compile(q(filtered = true), store)
+      assert(plan.extendSteps.map(_.single).toSeq == Seq(false, true), "ListExtend then ColumnExtend")
+      assert(plan.extendSteps.map(_.fromSlot).toSeq == Seq(plan.scan.vSlot, plan.scan.vSlot), "both from the scan slot")
+      assert(plan.extendSteps(1).preds.length == 2)
+      val expected = Volcano.count(store, plan)
+      assert(expected > 0 && expected < all, s"${config.name}: $expected of $all should pass")
+      assert(Lbp.count(store, plan) == expected, config.name)
     }
   }
 

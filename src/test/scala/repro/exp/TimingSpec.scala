@@ -84,4 +84,9 @@ class TimingSpec extends AnyFunSuite {
   test("fmt prints median [min-max]") {
     assert(Timing.fmt(Sample(12.34, 1.5, 250.0, 5)) == "12.3 [1.50-250]")
   }
+
+  test("fmt picks its decimals from the rounded value") {
+    assert(Timing.fmt(Sample(9.9995, 9.994, 99.96, 5)) == "10.0 [9.99-100]")
+    assert(Timing.fmt(Sample(99.94, 9.95, 100.4, 5)) == "99.9 [9.95-100]")
+  }
 }

@@ -20,7 +20,7 @@ class CsrSpec extends SparkSpec {
       threshold = 0.05, c = 16, m = 16)
     var acc = 0
     lens.indices.foreach { v =>
-      assert(off.isEmptyList(v) == (lens(v) == 0), s"empty at $v")
+      assert((off.start(v) == -1) == (lens(v) == 0), s"empty at $v")
       if (lens(v) > 0) {
         assert(off.start(v) == acc, s"start at $v")
         assert(off.end(v) == acc + lens(v), s"end at $v")
@@ -32,7 +32,7 @@ class CsrSpec extends SparkSpec {
   for {
     nullCompress <- Seq(false, true)
     lastEmpty <- Seq(false, true)
-  } test(s"ranges matches isEmptyList/start/end (compress=$nullCompress, last list empty=$lastEmpty)") {
+  } test(s"ranges matches start/end (compress=$nullCompress, last list empty=$lastEmpty)") {
     val lens = lensOf(3000, 0.5, seed = 7)
     lens(lens.length - 1) = if (lastEmpty) 0 else 4
     val off = CsrAdjacency.buildOffsets(lens, suppress = true, nullCompress = nullCompress,
@@ -45,7 +45,7 @@ class CsrSpec extends SparkSpec {
     off.ranges(vs, vs.length, starts, ends)
     vs.indices.foreach { i =>
       val v = vs(i).toInt
-      if (off.isEmptyList(v)) assert(starts(i) == -1, s"empty list of $v")
+      if (off.start(v) == -1) assert(starts(i) == -1, s"empty list of $v")
       else {
         assert(starts(i) == off.start(v), s"start of $v")
         assert(ends(i) == off.end(v), s"end of $v")
